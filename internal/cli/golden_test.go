@@ -103,3 +103,36 @@ func TestGoldenScenariosRunTrace(t *testing.T) {
 	}
 	checkGolden(t, "scenarios-run-golden-tiny-trace.json", []byte(b.String()))
 }
+
+// TestGoldenGossip pins the stdout of single gossip runs: a rotating trade
+// attack, and an ideal attack against obedient nodes with rate limiting and
+// reporting switched on.
+func TestGoldenGossip(t *testing.T) {
+	for name, args := range map[string][]string{
+		"gossip-trade-rotate.txt": {"-attack", "trade", "-fraction", "0.2", "-rotate", "5",
+			"-nodes", "80", "-rounds", "30", "-warmup", "8"},
+		"gossip-ideal-defended.txt": {"-attack", "ideal", "-fraction", "0.1",
+			"-obedient", "1", "-ratelimit", "2", "-report", "1"},
+	} {
+		var b strings.Builder
+		if err := Gossip(&b, args); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkGolden(t, name, []byte(b.String()))
+	}
+}
+
+// TestGoldenToken pins the stdout of single token-model runs: a grid column
+// cut and a random-node satiation on a random graph.
+func TestGoldenToken(t *testing.T) {
+	for name, args := range map[string][]string{
+		"token-grid-cut.txt":       {"-graph", "grid", "-cut", "8"},
+		"token-random-satiate.txt": {"-graph", "random", "-n", "200", "-satiate", "100"},
+	} {
+		var b strings.Builder
+		if err := Token(&b, args); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkGolden(t, name, []byte(b.String()))
+	}
+}
