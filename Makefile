@@ -42,7 +42,8 @@ race:
 	$(GO) test -race ./internal/sim/... ./internal/sweep/... ./internal/experiment/... \
 		./internal/scenario/... ./internal/attack/... ./internal/defense/... ./internal/cli/... \
 		./internal/gossip/... ./internal/swarm/... ./internal/serve/... ./internal/adaptive/... \
-		./internal/cluster/... ./internal/obs/... ./internal/population/...
+		./internal/cluster/... ./internal/obs/... ./internal/population/... \
+		./internal/tokenmodel/...
 	# The swarm's widened ParallelFor passes (sharded unchoke scoring, the
 	# leecher scans, the reverse-position/rarity builds) only fan out above
 	# ~32k nodes; these tests force that scale and shard split under -race.

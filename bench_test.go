@@ -37,7 +37,10 @@ func BenchmarkTable1Defaults(b *testing.B) {
 func BenchmarkFigure1(b *testing.B) {
 	var crossover float64
 	for i := 0; i < b.N; i++ {
-		series := Figure1(uint64(i), benchQ())
+		series, err := Figure1(uint64(i), benchQ())
+		if err != nil {
+			b.Fatal(err)
+		}
 		if x, ok := series[2].CrossoverBelow(0.93); ok {
 			crossover = x
 		}
@@ -48,7 +51,10 @@ func BenchmarkFigure1(b *testing.B) {
 func BenchmarkFigure2(b *testing.B) {
 	var crossover float64
 	for i := 0; i < b.N; i++ {
-		series := Figure2(uint64(i), benchQ())
+		series, err := Figure2(uint64(i), benchQ())
+		if err != nil {
+			b.Fatal(err)
+		}
 		if x, ok := series[1].CrossoverBelow(0.93); ok {
 			crossover = x
 		}
@@ -59,7 +65,10 @@ func BenchmarkFigure2(b *testing.B) {
 func BenchmarkFigure3(b *testing.B) {
 	var y float64
 	for i := 0; i < b.N; i++ {
-		series := Figure3(uint64(i), benchQ())
+		series, err := Figure3(uint64(i), benchQ())
+		if err != nil {
+			b.Fatal(err)
+		}
 		y = series[3].YAt(0.35) // push4+slack curve at 35% attackers
 	}
 	b.ReportMetric(y, "defended-delivery")
@@ -68,7 +77,10 @@ func BenchmarkFigure3(b *testing.B) {
 func BenchmarkTokenAltruism(b *testing.B) {
 	var y float64
 	for i := 0; i < b.N; i++ {
-		s := AltruismExperiment(uint64(i), benchQ())
+		s, err := AltruismExperiment(uint64(i), benchQ())
+		if err != nil {
+			b.Fatal(err)
+		}
 		y = s.Points[len(s.Points)-1].Y
 	}
 	b.ReportMetric(y, "completion-at-max-a")
@@ -93,7 +105,10 @@ func BenchmarkGridCut(b *testing.B) {
 func BenchmarkRareToken(b *testing.B) {
 	var denied float64
 	for i := 0; i < b.N; i++ {
-		s := RareTokenExperiment(uint64(i), benchQ())
+		s, err := RareTokenExperiment(uint64(i), benchQ())
+		if err != nil {
+			b.Fatal(err)
+		}
 		denied = s.Points[0].Y
 	}
 	b.ReportMetric(denied, "completion-at-a0")
@@ -102,7 +117,10 @@ func BenchmarkRareToken(b *testing.B) {
 func BenchmarkScripSatiation(b *testing.B) {
 	var y float64
 	for i := 0; i < b.N; i++ {
-		s := ScripMoneySupplyExperiment(uint64(i), benchQ())
+		s, err := ScripMoneySupplyExperiment(uint64(i), benchQ())
+		if err != nil {
+			b.Fatal(err)
+		}
 		y = s.Points[len(s.Points)-1].Y
 	}
 	b.ReportMetric(y, "satiated-at-max-f")
@@ -111,7 +129,10 @@ func BenchmarkScripSatiation(b *testing.B) {
 func BenchmarkScripRareProvider(b *testing.B) {
 	var y float64
 	for i := 0; i < b.N; i++ {
-		series := ScripRareProviderExperiment(uint64(i), benchQ())
+		series, err := ScripRareProviderExperiment(uint64(i), benchQ())
+		if err != nil {
+			b.Fatal(err)
+		}
 		y = series[0].Points[0].Y
 	}
 	b.ReportMetric(y, "attacked-availability")
@@ -136,7 +157,10 @@ func BenchmarkSwarmAttack(b *testing.B) {
 func BenchmarkCodingDefense(b *testing.B) {
 	var gap float64
 	for i := 0; i < b.N; i++ {
-		series := CodingExperiment(uint64(i), benchQ())
+		series, err := CodingExperiment(uint64(i), benchQ())
+		if err != nil {
+			b.Fatal(err)
+		}
 		last := len(series[0].Points) - 1
 		gap = series[1].Points[last].Y - series[0].Points[last].Y
 	}
@@ -146,7 +170,10 @@ func BenchmarkCodingDefense(b *testing.B) {
 func BenchmarkReportingDefense(b *testing.B) {
 	var evictions float64
 	for i := 0; i < b.N; i++ {
-		series := ReportingExperiment(uint64(i), benchQ())
+		series, err := ReportingExperiment(uint64(i), benchQ())
+		if err != nil {
+			b.Fatal(err)
+		}
 		evictions = series[1].Points[len(series[1].Points)-1].Y
 	}
 	b.ReportMetric(evictions, "evictions-at-full-obedience")
@@ -155,7 +182,10 @@ func BenchmarkReportingDefense(b *testing.B) {
 func BenchmarkRateLimit(b *testing.B) {
 	var recovered float64
 	for i := 0; i < b.N; i++ {
-		series := RateLimitExperiment(uint64(i), benchQ())
+		series, err := RateLimitExperiment(uint64(i), benchQ())
+		if err != nil {
+			b.Fatal(err)
+		}
 		recovered = series[0].Points[1].Y - series[0].Points[0].Y
 	}
 	b.ReportMetric(recovered, "delivery-recovered-by-cap1")
@@ -176,7 +206,10 @@ func BenchmarkRotatingAttack(b *testing.B) {
 func BenchmarkScripInflation(b *testing.B) {
 	var cliff float64
 	for i := 0; i < b.N; i++ {
-		s := ScripInflationExperiment(uint64(i), benchQ())
+		s, err := ScripInflationExperiment(uint64(i), benchQ())
+		if err != nil {
+			b.Fatal(err)
+		}
 		cliff = s.Points[len(s.Points)-1].Y
 	}
 	b.ReportMetric(cliff, "availability-past-cliff")
@@ -185,7 +218,10 @@ func BenchmarkScripInflation(b *testing.B) {
 func BenchmarkScripHoarding(b *testing.B) {
 	var y float64
 	for i := 0; i < b.N; i++ {
-		s := ScripHoardingExperiment(uint64(i), benchQ())
+		s, err := ScripHoardingExperiment(uint64(i), benchQ())
+		if err != nil {
+			b.Fatal(err)
+		}
 		y = s.Points[len(s.Points)-1].Y
 	}
 	b.ReportMetric(y, "availability-at-max-hoarders")
@@ -194,7 +230,10 @@ func BenchmarkScripHoarding(b *testing.B) {
 func BenchmarkSatiateAblation(b *testing.B) {
 	var peak float64
 	for i := 0; i < b.N; i++ {
-		series := SatiateFractionAblation(uint64(i), benchQ())
+		series, err := SatiateFractionAblation(uint64(i), benchQ())
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, p := range series[1].Points {
 			if p.Y > peak {
 				peak = p.Y

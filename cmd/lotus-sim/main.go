@@ -12,10 +12,8 @@
 //	lotus-sim serve -role coordinator               # cluster front: shards jobs to workers
 //	lotus-sim serve -role worker -join http://c:8321  # one cluster execution node
 //
-// Invoking lotus-sim with plain flags (no subcommand) keeps the original
-// behavior of a single gossip run:
-//
-//	lotus-sim -attack trade -fraction 0.22
+// Every command is implemented in internal/cli; this binary only
+// dispatches to it.
 package main
 
 import (
@@ -46,7 +44,7 @@ commands:
              result cache (-addr, -cache-bytes, -queue-depth, -workers);
              scales out with -role=coordinator|worker -join=<url> [-advertise=<url>]
   figures    regenerate the paper's tables and figures (-exp, -quality, -csv)
-  gossip     run a single BAR Gossip simulation (default when given bare flags)
+  gossip     run a single BAR Gossip simulation
   scrip      run the scrip-economy simulator
   swarm      run the BitTorrent-like swarm simulator
   token      run the Section 3 token-collecting model
@@ -56,7 +54,7 @@ commands:
 func run(args []string) error {
 	w := os.Stdout
 	if len(args) == 0 {
-		return cli.Gossip(w, args)
+		return fmt.Errorf("missing command\n%s", usage())
 	}
 	switch args[0] {
 	case "list":
@@ -81,10 +79,6 @@ func run(args []string) error {
 		fmt.Fprintln(w, usage())
 		return nil
 	default:
-		if strings.HasPrefix(args[0], "-") {
-			// Original single-run mode: lotus-sim -attack trade -fraction 0.22
-			return cli.Gossip(w, args)
-		}
 		return fmt.Errorf("unknown command %q\n%s", args[0], usage())
 	}
 }

@@ -1,9 +1,13 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestRunSmoke(t *testing.T) {
 	args := []string{
+		"gossip",
 		"-attack", "trade", "-fraction", "0.2",
 		"-nodes", "80", "-rounds", "30", "-warmup", "8", "-v",
 	}
@@ -14,6 +18,7 @@ func TestRunSmoke(t *testing.T) {
 
 func TestRunDefenses(t *testing.T) {
 	args := []string{
+		"gossip",
 		"-attack", "ideal", "-fraction", "0.1",
 		"-nodes", "80", "-rounds", "30", "-warmup", "8",
 		"-obedient", "1", "-ratelimit", "2", "-report", "1",
@@ -25,6 +30,7 @@ func TestRunDefenses(t *testing.T) {
 
 func TestRunRotating(t *testing.T) {
 	args := []string{
+		"gossip",
 		"-attack", "trade", "-fraction", "0.2", "-rotate", "5",
 		"-nodes", "80", "-rounds", "30", "-warmup", "8",
 	}
@@ -34,19 +40,19 @@ func TestRunRotating(t *testing.T) {
 }
 
 func TestRunBadAttack(t *testing.T) {
-	if err := run([]string{"-attack", "nonsense"}); err == nil {
+	if err := run([]string{"gossip", "-attack", "nonsense"}); err == nil {
 		t.Fatal("bogus attack name accepted")
 	}
 }
 
 func TestRunBadConfig(t *testing.T) {
-	if err := run([]string{"-nodes", "1"}); err == nil {
+	if err := run([]string{"gossip", "-nodes", "1"}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
 
 func TestRunBadFlag(t *testing.T) {
-	if err := run([]string{"-no-such-flag"}); err == nil {
+	if err := run([]string{"gossip", "-no-such-flag"}); err == nil {
 		t.Fatal("unknown flag accepted")
 	}
 }
@@ -101,6 +107,16 @@ func TestFiguresSubcommand(t *testing.T) {
 func TestUnknownCommand(t *testing.T) {
 	if err := run([]string{"frobnicate"}); err == nil {
 		t.Fatal("unknown command accepted")
+	}
+}
+
+// TestBareFlagsRejected: flags without a command are a usage error, not an
+// implicit gossip run, and so is an empty command line.
+func TestBareFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{{"-attack", "trade"}, nil} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "usage: lotus-sim") {
+			t.Fatalf("run(%q): %v, want a usage error", args, err)
+		}
 	}
 }
 

@@ -50,20 +50,20 @@ func RunExperiment(name string, seed uint64, q Quality) (*Artifact, error) {
 // by isolated nodes versus the fraction of nodes controlled by the
 // attacker, for the crash, ideal lotus-eater, and trade lotus-eater
 // attacks, at Table 1 parameters (push size 2).
-func Figure1(seed uint64, q Quality) []*Series { return experiment.Figure1(seed, q) }
+func Figure1(seed uint64, q Quality) ([]*Series, error) { return experiment.Figure1(seed, q) }
 
 // Figure2 regenerates Figure 2: the same three attacks with the optimistic
 // push size raised to 10, which makes partial satiation far less effective.
-func Figure2(seed uint64, q Quality) []*Series { return experiment.Figure2(seed, q) }
+func Figure2(seed uint64, q Quality) ([]*Series, error) { return experiment.Figure2(seed, q) }
 
 // Figure3 regenerates Figure 3: the trade lotus-eater attack against the
 // obedient "slightly unbalanced exchange" variant (give one more update
 // than received), alone and combined with a push size of 4.
-func Figure3(seed uint64, q Quality) []*Series { return experiment.Figure3(seed, q) }
+func Figure3(seed uint64, q Quality) ([]*Series, error) { return experiment.Figure3(seed, q) }
 
 // AltruismExperiment (E1) sweeps the token model's altruism parameter a
 // under a static satiation attack on half the system.
-func AltruismExperiment(seed uint64, q Quality) *Series {
+func AltruismExperiment(seed uint64, q Quality) (*Series, error) {
 	return experiment.AltruismExperiment(seed, q)
 }
 
@@ -75,37 +75,37 @@ func GridCutExperiment(seed uint64) ([]GridCutResult, error) {
 
 // RareTokenExperiment (E3) satiates the single initial holder of a rare
 // token and sweeps altruism a.
-func RareTokenExperiment(seed uint64, q Quality) *Series {
+func RareTokenExperiment(seed uint64, q Quality) (*Series, error) {
 	return experiment.RareTokenExperiment(seed, q)
 }
 
 // ScripMoneySupplyExperiment (E4a) sweeps the fraction of agents the
 // attacker tries to keep satiated from in-system earnings alone.
-func ScripMoneySupplyExperiment(seed uint64, q Quality) *Series {
+func ScripMoneySupplyExperiment(seed uint64, q Quality) (*Series, error) {
 	return experiment.ScripMoneySupplyExperiment(seed, q)
 }
 
 // ScripRareProviderExperiment (E4b) reproduces the paper's rare-resource
 // harm and the altruist-provider defense.
-func ScripRareProviderExperiment(seed uint64, q Quality) []*Series {
+func ScripRareProviderExperiment(seed uint64, q Quality) ([]*Series, error) {
 	return experiment.ScripRareProviderExperiment(seed, q)
 }
 
 // SatiateFractionAblation (A1) reproduces the paper's reasoning for
 // targeting 70% of the system.
-func SatiateFractionAblation(seed uint64, q Quality) []*Series {
+func SatiateFractionAblation(seed uint64, q Quality) ([]*Series, error) {
 	return experiment.SatiateFractionAblation(seed, q)
 }
 
 // ScripInflationExperiment (E10, extension) satiates the whole economy by
 // untargeted scrip gifts.
-func ScripInflationExperiment(seed uint64, q Quality) *Series {
+func ScripInflationExperiment(seed uint64, q Quality) (*Series, error) {
 	return experiment.ScripInflationExperiment(seed, q)
 }
 
 // ScripHoardingExperiment (E11, extension) shows service hoarders draining
 // the money supply.
-func ScripHoardingExperiment(seed uint64, q Quality) *Series {
+func ScripHoardingExperiment(seed uint64, q Quality) (*Series, error) {
 	return experiment.ScripHoardingExperiment(seed, q)
 }
 
@@ -116,19 +116,19 @@ func SwarmExperiment(seed uint64, seeds int) ([]SwarmRow, error) {
 
 // CodingExperiment (E6) compares plain token gossip against random linear
 // network coding under the rare-token attack.
-func CodingExperiment(seed uint64, q Quality) []*Series {
+func CodingExperiment(seed uint64, q Quality) ([]*Series, error) {
 	return experiment.CodingExperiment(seed, q)
 }
 
 // ReportingExperiment (E7) sweeps the obedient fraction under a trade
 // lotus-eater attack with the reporting defense on.
-func ReportingExperiment(seed uint64, q Quality) []*Series {
+func ReportingExperiment(seed uint64, q Quality) ([]*Series, error) {
 	return experiment.ReportingExperiment(seed, q)
 }
 
 // RateLimitExperiment (E8) sweeps the per-peer service rate cap against the
 // ideal lotus-eater attack.
-func RateLimitExperiment(seed uint64, q Quality) []*Series {
+func RateLimitExperiment(seed uint64, q Quality) ([]*Series, error) {
 	return experiment.RateLimitExperiment(seed, q)
 }
 

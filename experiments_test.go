@@ -31,7 +31,10 @@ func TestTable1MatchesPaper(t *testing.T) {
 }
 
 func TestFigure1Ordering(t *testing.T) {
-	series := Figure1(1, quickQ())
+	series, err := Figure1(1, quickQ())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(series) != 3 {
 		t.Fatalf("%d series", len(series))
 	}
@@ -59,8 +62,14 @@ func TestFigure1Ordering(t *testing.T) {
 
 func TestFigure2BluntsAttacks(t *testing.T) {
 	q := quickQ()
-	fig1 := Figure1(2, q)
-	fig2 := Figure2(2, q)
+	fig1, err := Figure1(2, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig2, err := Figure2(2, q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Larger pushes help the isolated nodes against the ideal attack at
 	// every interior point.
 	x := fig1[1].Points[2].X
@@ -71,7 +80,10 @@ func TestFigure2BluntsAttacks(t *testing.T) {
 }
 
 func TestFigure3UnbalancedHelps(t *testing.T) {
-	series := Figure3(3, quickQ())
+	series, err := Figure3(3, quickQ())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(series) != 4 {
 		t.Fatalf("%d series", len(series))
 	}
@@ -88,7 +100,10 @@ func TestFigure3UnbalancedHelps(t *testing.T) {
 }
 
 func TestAltruismExperimentMonotoneEnds(t *testing.T) {
-	s := AltruismExperiment(4, quickQ())
+	s, err := AltruismExperiment(4, quickQ())
+	if err != nil {
+		t.Fatal(err)
+	}
 	first := s.Points[0].Y
 	last := s.Points[len(s.Points)-1].Y
 	if last <= first {
@@ -127,7 +142,10 @@ func TestGridCutExperimentShowsBarrier(t *testing.T) {
 }
 
 func TestRareTokenExperimentAltruismRescues(t *testing.T) {
-	s := RareTokenExperiment(6, quickQ())
+	s, err := RareTokenExperiment(6, quickQ())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.Points[0].Y > 0.1 {
 		t.Fatalf("a=0 rare-token denial failed: completion %.3f", s.Points[0].Y)
 	}
@@ -138,7 +156,10 @@ func TestRareTokenExperimentAltruismRescues(t *testing.T) {
 }
 
 func TestScripMoneySupplyBound(t *testing.T) {
-	s := ScripMoneySupplyExperiment(7, quickQ())
+	s, err := ScripMoneySupplyExperiment(7, quickQ())
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Satiated fraction collapses as the targeted fraction grows.
 	small := s.Points[1].Y
 	big := s.Points[len(s.Points)-1].Y
@@ -151,7 +172,10 @@ func TestScripMoneySupplyBound(t *testing.T) {
 }
 
 func TestScripRareProviderDenial(t *testing.T) {
-	series := ScripRareProviderExperiment(8, quickQ())
+	series, err := ScripRareProviderExperiment(8, quickQ())
+	if err != nil {
+		t.Fatal(err)
+	}
 	attacked, defended := series[0], series[1]
 	last := len(attacked.Points) - 1
 	// A well-funded attack collapses specialty availability relative to the
@@ -200,7 +224,10 @@ func TestSwarmExperimentClaims(t *testing.T) {
 }
 
 func TestCodingExperimentDefends(t *testing.T) {
-	series := CodingExperiment(10, quickQ())
+	series, err := CodingExperiment(10, quickQ())
+	if err != nil {
+		t.Fatal(err)
+	}
 	plain, coded := series[0], series[1]
 	lastIdx := len(plain.Points) - 1
 	if plain.Points[lastIdx].Y > 0.75 {
@@ -215,7 +242,10 @@ func TestCodingExperimentDefends(t *testing.T) {
 }
 
 func TestReportingExperimentEvicts(t *testing.T) {
-	series := ReportingExperiment(11, quickQ())
+	series, err := ReportingExperiment(11, quickQ())
+	if err != nil {
+		t.Fatal(err)
+	}
 	delivery, evictions := series[0], series[1]
 	if evictions.Points[0].Y != 0 {
 		t.Fatalf("evictions with zero obedience: %g", evictions.Points[0].Y)
@@ -231,7 +261,10 @@ func TestReportingExperimentEvicts(t *testing.T) {
 }
 
 func TestRateLimitExperimentDefends(t *testing.T) {
-	series := RateLimitExperiment(12, quickQ())
+	series, err := RateLimitExperiment(12, quickQ())
+	if err != nil {
+		t.Fatal(err)
+	}
 	attacked, clean := series[0], series[1]
 	// Cap 1 (index 1) must beat no cap (index 0) under attack.
 	if attacked.Points[1].Y <= attacked.Points[0].Y {
@@ -269,12 +302,18 @@ func TestFacadeConstructors(t *testing.T) {
 	cfg.Nodes = 50
 	cfg.Rounds = 30
 	cfg.Warmup = 5
-	eng, err := NewGossip(cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
+	for _, adv := range []*AttackStrategy{nil, {Kind: AttackTrade, Fraction: 0.2, SatiateFraction: 0.7}} {
+		eng, err := NewGossip(cfg, 1, adv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if attacked := res.Bandwidth.AttackerSent > 0; attacked != (adv != nil) {
+			t.Fatalf("adversary %+v: attacker bandwidth %d", adv, res.Bandwidth.AttackerSent)
+		}
 	}
 
 	tm, err := NewTokenModel(TokenModelConfig{
@@ -341,7 +380,10 @@ func TestQualityNormalize(t *testing.T) {
 }
 
 func TestInflationExperimentCliff(t *testing.T) {
-	s := ScripInflationExperiment(14, quickQ())
+	s, err := ScripInflationExperiment(14, quickQ())
+	if err != nil {
+		t.Fatal(err)
+	}
 	last := s.Points[len(s.Points)-1]
 	if last.Y != 0 {
 		t.Fatalf("economy survived %g/capita inflation: %.3f", last.X, last.Y)
@@ -353,7 +395,10 @@ func TestInflationExperimentCliff(t *testing.T) {
 }
 
 func TestHoardingExperimentMonotone(t *testing.T) {
-	s := ScripHoardingExperiment(15, quickQ())
+	s, err := ScripHoardingExperiment(15, quickQ())
+	if err != nil {
+		t.Fatal(err)
+	}
 	first, last := s.Points[0].Y, s.Points[len(s.Points)-1].Y
 	if last >= first-0.3 {
 		t.Fatalf("hoarding did not crash availability: %.3f -> %.3f", first, last)
@@ -361,7 +406,10 @@ func TestHoardingExperimentMonotone(t *testing.T) {
 }
 
 func TestSatiateFractionAblation(t *testing.T) {
-	series := SatiateFractionAblation(16, Quality{Points: 6, Seeds: 2})
+	series, err := SatiateFractionAblation(16, Quality{Points: 6, Seeds: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	delivery, victims := series[0], series[1]
 	// Per-victim damage grows with the satiated fraction...
 	first, last := delivery.Points[0].Y, delivery.Points[len(delivery.Points)-1].Y

@@ -1,10 +1,8 @@
-// Package cli holds the flag and output plumbing shared by every command
-// binary in cmd/. Each main is a thin wrapper: cmd/lotus-sim dispatches
-// subcommands (run, list, gossip, figures, scrip, swarm, token) to the
-// functions here, and the single-purpose binaries (cmd/figures,
-// cmd/scrip-sim, cmd/swarm-sim, cmd/token-sim) call the matching function
-// directly, so flag names, experiment lookup, and artifact encoding are
-// defined exactly once.
+// Package cli implements every command of the lotus-sim binary: cmd/lotus-sim
+// only dispatches its subcommands (list, run, scenarios, serve, figures,
+// gossip, scrip, swarm, token) to the functions here, so flag names,
+// experiment lookup, and artifact encoding are defined exactly once and are
+// testable without a process boundary.
 package cli
 
 import (

@@ -113,7 +113,7 @@ var figuresAliases = map[string][]string{
 // Figures implements the figures command: regenerate every table and figure
 // of the paper (or one of them, via -exp) as aligned text tables or CSV.
 func Figures(w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs := flag.NewFlagSet("lotus-sim figures", flag.ContinueOnError)
 	exp := fs.String("exp", "all", "experiment id (table1|fig1|fig2|fig3|altruism|gridcut|raretoken|scrip|swarm|coding|reporting|ratelimit|rotating|inflation|hoarding|satiate-ablation|all)")
 	quality := fs.String("quality", "full", "sweep quality: full|quick")
 	seed := fs.Uint64("seed", 1, "random seed")

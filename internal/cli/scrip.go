@@ -9,9 +9,9 @@ import (
 )
 
 // Scrip runs the scrip-economy simulator with an optional money-gifting
-// lotus-eater attack (the scrip-sim binary and `lotus-sim scrip`).
+// lotus-eater attack (`lotus-sim scrip`).
 func Scrip(w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("scrip-sim", flag.ContinueOnError)
+	fs := flag.NewFlagSet("lotus-sim scrip", flag.ContinueOnError)
 	cfg := scrip.DefaultConfig()
 	fs.IntVar(&cfg.Agents, "agents", cfg.Agents, "population size")
 	fs.IntVar(&cfg.Threshold, "threshold", cfg.Threshold, "rational threshold strategy k")

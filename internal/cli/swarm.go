@@ -9,9 +9,9 @@ import (
 )
 
 // Swarm runs the BitTorrent-like swarm simulator with optional lotus-eater
-// attacks (the swarm-sim binary and `lotus-sim swarm`).
+// attacks (`lotus-sim swarm`).
 func Swarm(w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("swarm-sim", flag.ContinueOnError)
+	fs := flag.NewFlagSet("lotus-sim swarm", flag.ContinueOnError)
 	cfg := swarm.DefaultConfig()
 	fs.IntVar(&cfg.Leechers, "leechers", cfg.Leechers, "number of leechers")
 	fs.IntVar(&cfg.Pieces, "pieces", cfg.Pieces, "file size in pieces")

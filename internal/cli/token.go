@@ -12,9 +12,10 @@ import (
 )
 
 // Token explores the abstract token-collecting model of Section 3 of the
-// paper (the token-sim binary and `lotus-sim token`).
+// paper (`lotus-sim token`): an attacker that instantly satiates a grid
+// column cut (-cut) or random nodes (-satiate) at the start of every round.
 func Token(w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("token-sim", flag.ContinueOnError)
+	fs := flag.NewFlagSet("lotus-sim token", flag.ContinueOnError)
 	graphKind := fs.String("graph", "complete", "topology: complete|grid|ring|random|smallworld")
 	n := fs.Int("n", 100, "nodes (complete/ring/random/smallworld)")
 	rows := fs.Int("rows", 16, "grid rows")
@@ -56,19 +57,21 @@ func Token(w io.Writer, args []string) error {
 		Rounds:   *rounds,
 	}
 
-	var opts []tokenmodel.Option
+	var targets []int
 	switch {
 	case *cut >= 0:
 		if *graphKind != "grid" {
 			return fmt.Errorf("-cut requires -graph grid")
 		}
-		targets := graph.GridColumnCut(*rows, *cols, *cut)
-		opts = append(opts, tokenmodel.WithTargeter(attack.NewListTargeter(g.N(), targets)))
+		targets = graph.GridColumnCut(*rows, *cols, *cut)
 		fmt.Fprintf(w, "attack: satiating grid column %d (%d nodes)\n", *cut, len(targets))
 	case *satiate > 0:
-		targets := rng.Child("targets").SampleInts(g.N(), min(*satiate, g.N()))
-		opts = append(opts, tokenmodel.WithTargeter(attack.NewListTargeter(g.N(), targets)))
+		targets = rng.Child("targets").SampleInts(g.N(), min(*satiate, g.N()))
 		fmt.Fprintf(w, "attack: satiating %d random nodes\n", len(targets))
+	}
+	var opts []tokenmodel.Option
+	if targets != nil {
+		opts = append(opts, tokenmodel.WithAdversary(&attack.Strategy{Kind: attack.Ideal, TargetList: targets}))
 	}
 
 	sim, err := tokenmodel.New(cfg, rng.Child("run").Uint64(), opts...)

@@ -15,7 +15,7 @@ import (
 // symbols outright; coded dissemination is indifferent because every packet
 // mixes all symbols. Returns mean progress (fraction of the file
 // reconstructible) versus s for both modes.
-func CodingExperiment(seed uint64, q Quality) []*Series {
+func CodingExperiment(seed uint64, q Quality) ([]*Series, error) {
 	q = q.Normalize()
 	const (
 		n       = 120
@@ -26,8 +26,8 @@ func CodingExperiment(seed uint64, q Quality) []*Series {
 		xs = append(xs, float64(s))
 	}
 
-	runMode := func(name string, coded bool, offset uint64) *Series {
-		return sweep.Run(sweep.Config{Name: name, Xs: xs, Seeds: q.Seeds}, seed+offset, func(x float64, rng *simrng.Source, _ *sim.Workspace) float64 {
+	runMode := func(name string, coded bool, offset uint64) (*Series, error) {
+		return sweep.Run(sweep.Config{Name: name, Xs: xs, Seeds: q.Seeds}, seed+offset, func(x float64, rng *simrng.Source, _ *sim.Workspace) (float64, error) {
 			s := int(x)
 			// Unique holders: node i holds symbol i for i < symbols; the
 			// rest duplicate symbols >= s (so only the first s symbols are
@@ -59,17 +59,19 @@ func CodingExperiment(seed uint64, q Quality) []*Series {
 			}
 			d, err := coding.NewDissemination(cfg, rng.Uint64(), t)
 			if err != nil {
-				return 0
+				return 0, err
 			}
 			res, err := d.Run()
-			if err != nil {
-				return 0
-			}
-			return res.MeanProgress
+			return res.MeanProgress, err
 		})
 	}
-	return []*Series{
-		runMode("plain", false, 0),
-		runMode("coded", true, 1),
+	plain, err := runMode("plain", false, 0)
+	if err != nil {
+		return nil, err
 	}
+	coded, err := runMode("coded", true, 1)
+	if err != nil {
+		return nil, err
+	}
+	return []*Series{plain, coded}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"lotuseater/internal/attack"
+	"lotuseater/internal/defense"
 	"lotuseater/internal/gossip"
 	"lotuseater/internal/metrics"
 	"lotuseater/internal/sim"
@@ -14,76 +15,124 @@ import (
 // Series re-exports the metrics series type used by all experiment drivers.
 type Series = metrics.Series
 
+// paperAttack is the paper's attack of the given kind: the adversary
+// controls fraction of the nodes and targets 70% of the system.
+func paperAttack(kind attack.Kind, fraction float64) gossip.Option {
+	return gossip.WithAdversary(&attack.Strategy{Kind: kind, Fraction: fraction, SatiateFraction: 0.70})
+}
+
+// runGossip runs one gossip replicate to its horizon.
+func runGossip(cfg gossip.Config, seed uint64, opts ...gossip.Option) (gossip.Result, error) {
+	eng, err := gossip.New(cfg, seed, opts...)
+	if err != nil {
+		return gossip.Result{}, err
+	}
+	return eng.Run()
+}
+
 // gossipDeliverySweep sweeps attacker fraction for one attack/config
 // variant and returns the isolated-node delivery series.
-func gossipDeliverySweep(name string, base gossip.Config, kind attack.Kind, xs []float64, seeds int, seed uint64) *Series {
-	return sweep.Run(sweep.Config{Name: name, Xs: xs, Seeds: seeds}, seed, func(x float64, rng *simrng.Source, _ *sim.Workspace) float64 {
-		cfg := base
-		cfg.Attack = kind
-		cfg.AttackerFraction = x
-		if x == 0 {
-			cfg.Attack = attack.None
-		}
-		eng, err := gossip.New(cfg, rng.Uint64())
-		if err != nil {
-			return 0
-		}
-		res, err := eng.Run()
-		if err != nil {
-			return 0
-		}
-		return res.Isolated.MeanDelivery
+func gossipDeliverySweep(name string, base gossip.Config, kind attack.Kind, xs []float64, seeds int, seed uint64) (*Series, error) {
+	return sweep.Run(sweep.Config{Name: name, Xs: xs, Seeds: seeds}, seed, func(x float64, rng *simrng.Source, _ *sim.Workspace) (float64, error) {
+		res, err := runGossip(base, rng.Uint64(), paperAttack(kind, x))
+		return res.Isolated.MeanDelivery, err
 	})
+}
+
+// attackSweeps runs gossipDeliverySweep for each named attack variant, in
+// order, stopping at the first error.
+func attackSweeps(base gossip.Config, xs []float64, seeds int, seed uint64, kinds ...attack.Kind) ([]*Series, error) {
+	names := map[attack.Kind]string{
+		attack.Crash: "crash",
+		attack.Ideal: "ideal-lotus-eater",
+		attack.Trade: "trade-lotus-eater",
+	}
+	out := make([]*Series, 0, len(kinds))
+	for _, kind := range kinds {
+		s, err := gossipDeliverySweep(names[kind], base, kind, xs, seeds, seed)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, s)
+	}
+	return out, nil
 }
 
 // Figure1 regenerates Figure 1 of the paper: fraction of updates received
 // by isolated nodes versus the fraction of nodes controlled by the
 // attacker, for the crash, ideal lotus-eater, and trade lotus-eater
 // attacks, at Table 1 parameters (push size 2).
-func Figure1(seed uint64, q Quality) []*Series {
+func Figure1(seed uint64, q Quality) ([]*Series, error) {
 	q = q.Normalize()
-	base := gossip.DefaultConfig()
-	xs := sweep.Range(0, 0.9, q.Points)
-	return []*Series{
-		gossipDeliverySweep("crash", base, attack.Crash, xs, q.Seeds, seed),
-		gossipDeliverySweep("ideal-lotus-eater", base, attack.Ideal, xs, q.Seeds, seed),
-		gossipDeliverySweep("trade-lotus-eater", base, attack.Trade, xs, q.Seeds, seed),
-	}
+	return attackSweeps(gossip.DefaultConfig(), sweep.Range(0, 0.9, q.Points), q.Seeds, seed,
+		attack.Crash, attack.Ideal, attack.Trade)
 }
 
 // Figure2 regenerates Figure 2: the same three attacks with the optimistic
 // push size raised to 10, which makes partial satiation far less effective.
-func Figure2(seed uint64, q Quality) []*Series {
+func Figure2(seed uint64, q Quality) ([]*Series, error) {
 	q = q.Normalize()
 	base := gossip.DefaultConfig()
 	base.PushSize = 10
-	xs := sweep.Range(0, 0.9, q.Points)
-	return []*Series{
-		gossipDeliverySweep("crash", base, attack.Crash, xs, q.Seeds, seed),
-		gossipDeliverySweep("ideal-lotus-eater", base, attack.Ideal, xs, q.Seeds, seed),
-		gossipDeliverySweep("trade-lotus-eater", base, attack.Trade, xs, q.Seeds, seed),
-	}
+	return attackSweeps(base, sweep.Range(0, 0.9, q.Points), q.Seeds, seed,
+		attack.Crash, attack.Ideal, attack.Trade)
 }
 
 // Figure3 regenerates Figure 3: the trade lotus-eater attack against the
 // obedient "slightly unbalanced exchange" variant (give one more update
 // than received), alone and combined with a push size of 4.
-func Figure3(seed uint64, q Quality) []*Series {
+func Figure3(seed uint64, q Quality) ([]*Series, error) {
 	q = q.Normalize()
 	xs := sweep.Range(0, 0.7, q.Points)
-	variant := func(name string, pushSize, slack int) *Series {
+	var out []*Series
+	for _, v := range []struct {
+		name            string
+		pushSize, slack int
+	}{
+		{"push2-balanced", 2, 0},
+		{"push2-unbalanced", 2, 1},
+		{"push4-balanced", 4, 0},
+		{"push4-unbalanced", 4, 1},
+	} {
 		base := gossip.DefaultConfig()
-		base.PushSize = pushSize
-		base.BalanceSlack = slack
-		return gossipDeliverySweep(name, base, attack.Trade, xs, q.Seeds, seed)
+		base.PushSize = v.pushSize
+		base.BalanceSlack = v.slack
+		s, err := gossipDeliverySweep(v.name, base, attack.Trade, xs, q.Seeds, seed)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, s)
 	}
-	return []*Series{
-		variant("push2-balanced", 2, 0),
-		variant("push2-unbalanced", 2, 1),
-		variant("push4-balanced", 4, 0),
-		variant("push4-unbalanced", 4, 1),
-	}
+	return out, nil
 }
+
+// resultSweeps runs one sweep per named metric over the same replicates:
+// each sweep re-runs run at every point and extracts its metric from the
+// result. Replicate streams depend only on (seed, point, replicate), so
+// every series sees the same runs.
+func resultSweeps(xs []float64, seeds int, seed uint64, run func(x float64, rng *simrng.Source) (gossip.Result, error),
+	metrics ...namedMetric) ([]*Series, error) {
+	out := make([]*Series, 0, len(metrics))
+	for _, m := range metrics {
+		s, err := sweep.Run(sweep.Config{Name: m.name, Xs: xs, Seeds: seeds}, seed, func(x float64, rng *simrng.Source, _ *sim.Workspace) (float64, error) {
+			res, err := run(x, rng)
+			return m.of(res), err
+		})
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, s)
+	}
+	return out, nil
+}
+
+// namedMetric extracts one series value from a gossip result.
+type namedMetric struct {
+	name string
+	of   func(gossip.Result) float64
+}
+
+func isolatedDelivery(res gossip.Result) float64 { return res.Isolated.MeanDelivery }
 
 // SatiateFractionAblation (A1) reproduces the paper's reasoning for
 // targeting 70% of the system: "it strikes a balance between the need to
@@ -96,35 +145,17 @@ func Figure3(seed uint64, q Quality) []*Series {
 // the *victim count* (isolated nodes with unusable service) peaks in
 // between, which is what makes ~70% the attacker's sweet spot. Returns both
 // series: "isolated-delivery" and "unusable-victims".
-func SatiateFractionAblation(seed uint64, q Quality) []*Series {
+func SatiateFractionAblation(seed uint64, q Quality) ([]*Series, error) {
 	q = q.Normalize()
-	xs := sweep.Range(0.3, 0.95, q.Points)
 	run := func(x float64, rng *simrng.Source) (gossip.Result, error) {
-		cfg := gossip.DefaultConfig()
-		cfg.Attack = attack.Trade
-		cfg.AttackerFraction = 0.25
-		cfg.SatiateFraction = x
-		eng, err := gossip.New(cfg, rng.Uint64())
-		if err != nil {
-			return gossip.Result{}, err
-		}
-		return eng.Run()
+		return runGossip(gossip.DefaultConfig(), rng.Uint64(),
+			gossip.WithAdversary(&attack.Strategy{Kind: attack.Trade, Fraction: 0.25, SatiateFraction: x}))
 	}
-	delivery := sweep.Run(sweep.Config{Name: "isolated-delivery", Xs: xs, Seeds: q.Seeds}, seed, func(x float64, rng *simrng.Source, _ *sim.Workspace) float64 {
-		res, err := run(x, rng)
-		if err != nil {
-			return 0
-		}
-		return res.Isolated.MeanDelivery
-	})
-	victims := sweep.Run(sweep.Config{Name: "unusable-victims", Xs: xs, Seeds: q.Seeds}, seed, func(x float64, rng *simrng.Source, _ *sim.Workspace) float64 {
-		res, err := run(x, rng)
-		if err != nil {
-			return 0
-		}
-		return float64(res.Isolated.Nodes) * (1 - res.Isolated.UsableFraction)
-	})
-	return []*Series{delivery, victims}
+	return resultSweeps(sweep.Range(0.3, 0.95, q.Points), q.Seeds, seed, run,
+		namedMetric{"isolated-delivery", isolatedDelivery},
+		namedMetric{"unusable-victims", func(res gossip.Result) float64 {
+			return float64(res.Isolated.Nodes) * (1 - res.Isolated.UsableFraction)
+		}})
 }
 
 // ReportingExperiment (E7) sweeps the obedient fraction under a trade
@@ -132,42 +163,22 @@ func SatiateFractionAblation(seed uint64, q Quality) []*Series {
 // targets report the attacker's excessive deliveries using signed receipts,
 // and accused nodes are evicted. Returns isolated-node delivery and the
 // eviction count versus obedient fraction.
-func ReportingExperiment(seed uint64, q Quality) []*Series {
+func ReportingExperiment(seed uint64, q Quality) ([]*Series, error) {
 	q = q.Normalize()
-	xs := sweep.Range(0, 1, q.Points)
 	// Excess service beyond the balance slack is already a protocol
 	// violation (honest exchanges are one-for-one up to slack), so an
 	// excess of 2+ is reportable, and two independent witnesses suffice.
 	base := gossip.DefaultConfig()
-	base.Attack = attack.Trade
-	base.AttackerFraction = 0.30
 	base.ReportThreshold = 1
 	base.EvictAfterReports = 2
-
 	run := func(x float64, rng *simrng.Source) (gossip.Result, error) {
 		cfg := base
 		cfg.ObedientFraction = x
-		eng, err := gossip.New(cfg, rng.Uint64())
-		if err != nil {
-			return gossip.Result{}, err
-		}
-		return eng.Run()
+		return runGossip(cfg, rng.Uint64(), paperAttack(attack.Trade, 0.30))
 	}
-	delivery := sweep.Run(sweep.Config{Name: "isolated-delivery", Xs: xs, Seeds: q.Seeds}, seed, func(x float64, rng *simrng.Source, _ *sim.Workspace) float64 {
-		res, err := run(x, rng)
-		if err != nil {
-			return 0
-		}
-		return res.Isolated.MeanDelivery
-	})
-	evictions := sweep.Run(sweep.Config{Name: "evicted-nodes", Xs: xs, Seeds: q.Seeds}, seed, func(x float64, rng *simrng.Source, _ *sim.Workspace) float64 {
-		res, err := run(x, rng)
-		if err != nil {
-			return 0
-		}
-		return float64(res.Evictions)
-	})
-	return []*Series{delivery, evictions}
+	return resultSweeps(sweep.Range(0, 1, q.Points), q.Seeds, seed, run,
+		namedMetric{"isolated-delivery", isolatedDelivery},
+		namedMetric{"evicted-nodes", func(res gossip.Result) float64 { return float64(res.Evictions) }})
 }
 
 // RateLimitExperiment (E8) addresses Section 5's open problem: limit the
@@ -176,30 +187,34 @@ func ReportingExperiment(seed uint64, q Quality) []*Series {
 // at most `cap` updates per peer per round. Returns isolated delivery under
 // an ideal lotus-eater attack and under no attack (the cost of the defense)
 // versus the cap; x = 0 means the limiter is off.
-func RateLimitExperiment(seed uint64, q Quality) []*Series {
+func RateLimitExperiment(seed uint64, q Quality) ([]*Series, error) {
 	q = q.Normalize()
 	xs := []float64{0, 1, 2, 3, 4, 6, 8, 12, 16, 24}
-	run := func(kind attack.Kind, fraction float64) sweep.PointFunc {
-		return func(x float64, rng *simrng.Source, _ *sim.Workspace) float64 {
-			cfg := gossip.DefaultConfig()
-			cfg.Attack = kind
-			cfg.AttackerFraction = fraction
-			cfg.ObedientFraction = 1
-			cfg.RateLimitPerPeer = int(x)
-			eng, err := gossip.New(cfg, rng.Uint64())
-			if err != nil {
-				return 0
+	cfg := gossip.DefaultConfig()
+	cfg.ObedientFraction = 1
+	var out []*Series
+	for i, arm := range []struct {
+		name     string
+		kind     attack.Kind
+		fraction float64
+	}{
+		{"ideal-attack(10%)", attack.Ideal, 0.10},
+		{"no-attack", attack.None, 0},
+	} {
+		s, err := sweep.Run(sweep.Config{Name: arm.name, Xs: xs, Seeds: q.Seeds}, seed+uint64(i), func(x float64, rng *simrng.Source, _ *sim.Workspace) (float64, error) {
+			opts := []gossip.Option{paperAttack(arm.kind, arm.fraction)}
+			if x > 0 {
+				opts = append(opts, gossip.WithDefense(defense.NewLimit(int(x))))
 			}
-			res, err := eng.Run()
-			if err != nil {
-				return 0
-			}
-			return res.Isolated.MeanDelivery
+			res, err := runGossip(cfg, rng.Uint64(), opts...)
+			return res.Isolated.MeanDelivery, err
+		})
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, s)
 	}
-	attacked := sweep.Run(sweep.Config{Name: "ideal-attack(10%)", Xs: xs, Seeds: q.Seeds}, seed, run(attack.Ideal, 0.10))
-	clean := sweep.Run(sweep.Config{Name: "no-attack", Xs: xs, Seeds: q.Seeds}, seed+1, run(attack.None, 0))
-	return []*Series{attacked, clean}
+	return out, nil
 }
 
 // RotatingResult summarizes one arm of the rotating-target experiment (E9).
@@ -228,16 +243,10 @@ type RotatingResult struct {
 func RotatingExperiment(seed uint64, period int) ([]RotatingResult, error) {
 	run := func(name string, rotate int) (RotatingResult, error) {
 		cfg := gossip.DefaultConfig()
-		cfg.Attack = attack.Ideal
-		cfg.AttackerFraction = 0.08
-		cfg.RotatePeriod = rotate
 		cfg.Rounds = 15 + 10*period
 		cfg.TrackPerNode = true
-		eng, err := gossip.New(cfg, seed)
-		if err != nil {
-			return RotatingResult{}, err
-		}
-		res, err := eng.Run()
+		res, err := runGossip(cfg, seed, gossip.WithAdversary(&attack.Strategy{
+			Kind: attack.Ideal, Fraction: 0.08, SatiateFraction: 0.70, RotatePeriod: rotate}))
 		if err != nil {
 			return RotatingResult{}, err
 		}

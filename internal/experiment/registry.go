@@ -21,6 +21,28 @@ func seriesArtifact(name, title, xLabel string, crossover bool, series ...*Serie
 	return a
 }
 
+// curves adapts a driver returning figure series to a registry Run func.
+func curves(name, title, xLabel string, crossover bool, run func(uint64, Quality) ([]*Series, error)) func(uint64, Quality) (*metrics.Artifact, error) {
+	return func(seed uint64, q Quality) (*metrics.Artifact, error) {
+		series, err := run(seed, q)
+		if err != nil {
+			return nil, err
+		}
+		return seriesArtifact(name, title, xLabel, crossover, series...), nil
+	}
+}
+
+// one adapts a single-series driver to curves.
+func one(run func(uint64, Quality) (*Series, error)) func(uint64, Quality) ([]*Series, error) {
+	return func(seed uint64, q Quality) ([]*Series, error) {
+		s, err := run(seed, q)
+		if err != nil {
+			return nil, err
+		}
+		return []*Series{s}, nil
+	}
+}
+
 func tableArtifact(name, title string, rows [][]string) *metrics.Artifact {
 	return &metrics.Artifact{Name: name, Title: title, Table: rows}
 }
@@ -39,34 +61,26 @@ func init() {
 	Register(Experiment{
 		Name:        "figure1",
 		Description: "Figure 1: crash vs ideal vs trade lotus-eater attacks on BAR Gossip (push size 2)",
-		Run: func(seed uint64, q Quality) (*metrics.Artifact, error) {
-			return seriesArtifact("figure1", "Figure 1: three attacks on BAR Gossip (isolated-node delivery)",
-				"attacker-fraction", true, Figure1(seed, q)...), nil
-		},
+		Run: curves("figure1", "Figure 1: three attacks on BAR Gossip (isolated-node delivery)",
+			"attacker-fraction", true, Figure1),
 	})
 	Register(Experiment{
 		Name:        "figure2",
 		Description: "Figure 2: raising the optimistic push size to 10 blunts all three attacks",
-		Run: func(seed uint64, q Quality) (*metrics.Artifact, error) {
-			return seriesArtifact("figure2", "Figure 2: push size 10 reduces attack effectiveness",
-				"attacker-fraction", true, Figure2(seed, q)...), nil
-		},
+		Run: curves("figure2", "Figure 2: push size 10 reduces attack effectiveness",
+			"attacker-fraction", true, Figure2),
 	})
 	Register(Experiment{
 		Name:        "figure3",
 		Description: "Figure 3: slightly unbalanced exchanges defend against the trade attack",
-		Run: func(seed uint64, q Quality) (*metrics.Artifact, error) {
-			return seriesArtifact("figure3", "Figure 3: obedient (unbalanced) exchanges reduce effectiveness",
-				"attacker-fraction", true, Figure3(seed, q)...), nil
-		},
+		Run: curves("figure3", "Figure 3: obedient (unbalanced) exchanges reduce effectiveness",
+			"attacker-fraction", true, Figure3),
 	})
 	Register(Experiment{
 		Name:        "altruism",
 		Description: "E1: altruism a restores completion under half-system satiation (token model)",
-		Run: func(seed uint64, q Quality) (*metrics.Artifact, error) {
-			return seriesArtifact("altruism", "E1: altruism a vs completion under half-system satiation (token model)",
-				"altruism-a", false, AltruismExperiment(seed, q)), nil
-		},
+		Run: curves("altruism", "E1: altruism a vs completion under half-system satiation (token model)",
+			"altruism-a", false, one(AltruismExperiment)),
 	})
 	Register(Experiment{
 		Name:        "gridcut",
@@ -91,26 +105,20 @@ func init() {
 	Register(Experiment{
 		Name:        "raretoken",
 		Description: "E3: satiating one rare-token holder denies the whole system at a = 0",
-		Run: func(seed uint64, q Quality) (*metrics.Artifact, error) {
-			return seriesArtifact("raretoken", "E3: rare-token denial vs altruism (token model)",
-				"altruism-a", false, RareTokenExperiment(seed, q)), nil
-		},
+		Run: curves("raretoken", "E3: rare-token denial vs altruism (token model)",
+			"altruism-a", false, one(RareTokenExperiment)),
 	})
 	Register(Experiment{
 		Name:        "scrip-money-supply",
 		Description: "E4a: an earned-budget attacker cannot satiate a large fraction of a scrip economy",
-		Run: func(seed uint64, q Quality) (*metrics.Artifact, error) {
-			return seriesArtifact("scrip-money-supply", "E4a: scrip-system satiation is bounded by the money supply",
-				"targeted-fraction", false, ScripMoneySupplyExperiment(seed, q)), nil
-		},
+		Run: curves("scrip-money-supply", "E4a: scrip-system satiation is bounded by the money supply",
+			"targeted-fraction", false, one(ScripMoneySupplyExperiment)),
 	})
 	Register(Experiment{
 		Name:        "scrip-rare-provider",
 		Description: "E4b: satiating rare providers denies specialty service; altruist providers restore it",
-		Run: func(seed uint64, q Quality) (*metrics.Artifact, error) {
-			return seriesArtifact("scrip-rare-provider", "E4b: satiating rare providers denies specialty service; altruists restore it",
-				"attack-budget", false, ScripRareProviderExperiment(seed, q)...), nil
-		},
+		Run: curves("scrip-rare-provider", "E4b: satiating rare providers denies specialty service; altruists restore it",
+			"attack-budget", false, ScripRareProviderExperiment),
 	})
 	Register(Experiment{
 		Name:        "swarm",
@@ -136,26 +144,20 @@ func init() {
 	Register(Experiment{
 		Name:        "coding",
 		Description: "E6: random linear network coding neutralizes rare-token satiation",
-		Run: func(seed uint64, q Quality) (*metrics.Artifact, error) {
-			return seriesArtifact("coding", "E6: network coding neutralizes rare-token satiation",
-				"satiated-unique-holders", false, CodingExperiment(seed, q)...), nil
-		},
+		Run: curves("coding", "E6: network coding neutralizes rare-token satiation",
+			"satiated-unique-holders", false, CodingExperiment),
 	})
 	Register(Experiment{
 		Name:        "reporting",
 		Description: "E7: obedient nodes reporting excessive deliveries evict the attacker",
-		Run: func(seed uint64, q Quality) (*metrics.Artifact, error) {
-			return seriesArtifact("reporting", "E7: obedient reporting evicts over-providers (trade attack, 30%)",
-				"obedient-fraction", false, ReportingExperiment(seed, q)...), nil
-		},
+		Run: curves("reporting", "E7: obedient reporting evicts over-providers (trade attack, 30%)",
+			"obedient-fraction", false, ReportingExperiment),
 	})
 	Register(Experiment{
 		Name:        "ratelimit",
 		Description: "E8: per-peer service rate limiting blunts the ideal attack at no healthy-system cost",
-		Run: func(seed uint64, q Quality) (*metrics.Artifact, error) {
-			return seriesArtifact("ratelimit", "E8: per-peer rate limiting vs the ideal attack (cap=0 means off)",
-				"rate-cap", false, RateLimitExperiment(seed, q)...), nil
-		},
+		Run: curves("ratelimit", "E8: per-peer rate limiting vs the ideal attack (cap=0 means off)",
+			"rate-cap", false, RateLimitExperiment),
 	})
 	Register(Experiment{
 		Name:        "rotating",
@@ -181,25 +183,19 @@ func init() {
 	Register(Experiment{
 		Name:        "inflation",
 		Description: "E10 (extension): untargeted scrip gifts satiate the whole economy past a cliff",
-		Run: func(seed uint64, q Quality) (*metrics.Artifact, error) {
-			return seriesArtifact("inflation", "E10: satiation by monetary inflation (untargeted scrip gifts)",
-				"injected-scrip-per-capita", false, ScripInflationExperiment(seed, q)), nil
-		},
+		Run: curves("inflation", "E10: satiation by monetary inflation (untargeted scrip gifts)",
+			"injected-scrip-per-capita", false, one(ScripInflationExperiment)),
 	})
 	Register(Experiment{
 		Name:        "hoarding",
 		Description: "E11 (extension): service hoarders drain the money supply and centralize the system",
-		Run: func(seed uint64, q Quality) (*metrics.Artifact, error) {
-			return seriesArtifact("hoarding", "E11: service hoarders drain the money supply and centralize the system",
-				"hoarder-fraction", false, ScripHoardingExperiment(seed, q)), nil
-		},
+		Run: curves("hoarding", "E11: service hoarders drain the money supply and centralize the system",
+			"hoarder-fraction", false, one(ScripHoardingExperiment)),
 	})
 	Register(Experiment{
 		Name:        "satiate-ablation",
 		Description: "A1: why the attacker satiates ~70% — per-victim damage vs victim count",
-		Run: func(seed uint64, q Quality) (*metrics.Artifact, error) {
-			return seriesArtifact("satiate-ablation", "A1: why satiate 70%? (trade attack, 25% attackers)",
-				"satiate-fraction", false, SatiateFractionAblation(seed, q)...), nil
-		},
+		Run: curves("satiate-ablation", "A1: why satiate 70%? (trade attack, 25% attackers)",
+			"satiate-fraction", false, SatiateFractionAblation),
 	})
 }

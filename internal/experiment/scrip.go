@@ -15,15 +15,15 @@ import (
 // attacker to accumulate enough money to satiate a few nodes, [but] there
 // may not even be enough money in the system to satiate a significant
 // fraction". At x = 0 there are no targets and the value is vacuously 1.
-func ScripMoneySupplyExperiment(seed uint64, q Quality) *Series {
+func ScripMoneySupplyExperiment(seed uint64, q Quality) (*Series, error) {
 	q = q.Normalize()
 	xs := sweep.Range(0, 0.8, q.Points)
-	return sweep.Run(sweep.Config{Name: "satiated-fraction(earned-budget)", Xs: xs, Seeds: q.Seeds}, seed, func(x float64, rng *simrng.Source, _ *sim.Workspace) float64 {
+	return sweep.Run(sweep.Config{Name: "satiated-fraction(earned-budget)", Xs: xs, Seeds: q.Seeds}, seed, func(x float64, rng *simrng.Source, _ *sim.Workspace) (float64, error) {
 		cfg := scrip.DefaultConfig()
 		cfg.AttackerFraction = 0.05
 		s, err := scrip.New(cfg, rng.Uint64())
 		if err != nil {
-			return 0
+			return 0, err
 		}
 		var targets []int
 		want := int(x * float64(cfg.Agents))
@@ -34,17 +34,17 @@ func ScripMoneySupplyExperiment(seed uint64, q Quality) *Series {
 		}
 		if len(targets) > 0 {
 			if err := s.Attack(scrip.AttackPlan{Targets: targets, Budget: 0, StartRound: 1000}); err != nil {
-				return 0
+				return 0, err
 			}
 		}
 		res, err := s.Run()
 		if err != nil {
-			return 0
+			return 0, err
 		}
 		if x == 0 {
-			return 1 // vacuously satiated: no targets
+			return 1, nil // vacuously satiated: no targets
 		}
-		return res.SatiatedTargetFraction
+		return res.SatiatedTargetFraction, nil
 	})
 }
 
@@ -56,11 +56,11 @@ func ScripMoneySupplyExperiment(seed uint64, q Quality) *Series {
 // cost/harm curve. A second arm makes two of the ten providers altruists
 // (the "encouraging altruism" defense): they serve regardless of balance,
 // and availability stays high at every budget.
-func ScripRareProviderExperiment(seed uint64, q Quality) []*Series {
+func ScripRareProviderExperiment(seed uint64, q Quality) ([]*Series, error) {
 	q = q.Normalize()
 	xs := []float64{0, 50, 100, 200, 400, 800, 1600, 3200}
 	run := func(altruistProviders int) sweep.PointFunc {
-		return func(x float64, rng *simrng.Source, _ *sim.Workspace) float64 {
+		return func(x float64, rng *simrng.Source, _ *sim.Workspace) (float64, error) {
 			cfg := scrip.DefaultConfig()
 			cfg.AltruistProviders = altruistProviders
 			// Specialty demand is tuned so providers' earn rate roughly
@@ -71,7 +71,7 @@ func ScripRareProviderExperiment(seed uint64, q Quality) []*Series {
 			cfg.SpecialRequestFraction = 0.05
 			s, err := scrip.New(cfg, rng.Uint64())
 			if err != nil {
-				return 0
+				return 0, err
 			}
 			if x > 0 {
 				targets := make([]int, cfg.SpecialProviders)
@@ -79,19 +79,25 @@ func ScripRareProviderExperiment(seed uint64, q Quality) []*Series {
 					targets[i] = i
 				}
 				if err := s.Attack(scrip.AttackPlan{Targets: targets, Budget: int(x), StartRound: 1000}); err != nil {
-					return 0
+					return 0, err
 				}
 			}
 			res, err := s.Run()
 			if err != nil {
-				return 0
+				return 0, err
 			}
-			return res.SpecialAvailability
+			return res.SpecialAvailability, nil
 		}
 	}
-	attacked := sweep.Run(sweep.Config{Name: "specialty-availability", Xs: xs, Seeds: q.Seeds}, seed, run(0))
-	defended := sweep.Run(sweep.Config{Name: "specialty-availability(2-altruist-providers)", Xs: xs, Seeds: q.Seeds}, seed+1, run(2))
-	return []*Series{attacked, defended}
+	attacked, err := sweep.Run(sweep.Config{Name: "specialty-availability", Xs: xs, Seeds: q.Seeds}, seed, run(0))
+	if err != nil {
+		return nil, err
+	}
+	defended, err := sweep.Run(sweep.Config{Name: "specialty-availability(2-altruist-providers)", Xs: xs, Seeds: q.Seeds}, seed+1, run(2))
+	if err != nil {
+		return nil, err
+	}
+	return []*Series{attacked, defended}, nil
 }
 
 // ScripInflationExperiment (E10, an extension beyond the paper) exposes an
@@ -109,14 +115,14 @@ func ScripRareProviderExperiment(seed uint64, q Quality) []*Series {
 // no service, hence no spending, hence no one ever dips back below the
 // threshold. A fixed-supply scrip system has a finite, computable budget
 // that kills it outright.
-func ScripInflationExperiment(seed uint64, q Quality) *Series {
+func ScripInflationExperiment(seed uint64, q Quality) (*Series, error) {
 	q = q.Normalize()
 	xs := []float64{0, 1, 2, 2.25, 2.5, 2.75, 3, 4}
-	return sweep.Run(sweep.Config{Name: "availability", Xs: xs, Seeds: q.Seeds}, seed, func(x float64, rng *simrng.Source, _ *sim.Workspace) float64 {
+	return sweep.Run(sweep.Config{Name: "availability", Xs: xs, Seeds: q.Seeds}, seed, func(x float64, rng *simrng.Source, _ *sim.Workspace) (float64, error) {
 		cfg := scrip.DefaultConfig()
 		s, err := scrip.New(cfg, rng.Uint64())
 		if err != nil {
-			return 0
+			return 0, err
 		}
 		// Mint x scrip per capita as unconditional gifts — no targeting at
 		// all; the inflation itself is the attack. Fractional per-capita
@@ -130,14 +136,14 @@ func ScripInflationExperiment(seed uint64, q Quality) *Series {
 				amount++
 			}
 			if err := s.Mint(i, amount); err != nil {
-				return 0
+				return 0, err
 			}
 		}
 		res, err := s.Run()
 		if err != nil {
-			return 0
+			return 0, err
 		}
-		return res.Availability
+		return res.Availability, nil
 	})
 }
 
@@ -148,20 +154,20 @@ func ScripInflationExperiment(seed uint64, q Quality) *Series {
 // Their hoarded earnings drain the fixed money supply until requesters
 // cannot pay. Returns availability for ordinary agents versus the hoarder
 // fraction.
-func ScripHoardingExperiment(seed uint64, q Quality) *Series {
+func ScripHoardingExperiment(seed uint64, q Quality) (*Series, error) {
 	q = q.Normalize()
 	xs := sweep.Range(0, 0.25, q.Points)
-	return sweep.Run(sweep.Config{Name: "availability", Xs: xs, Seeds: q.Seeds}, seed, func(x float64, rng *simrng.Source, _ *sim.Workspace) float64 {
+	return sweep.Run(sweep.Config{Name: "availability", Xs: xs, Seeds: q.Seeds}, seed, func(x float64, rng *simrng.Source, _ *sim.Workspace) (float64, error) {
 		cfg := scrip.DefaultConfig()
 		cfg.AttackerFraction = x
 		s, err := scrip.New(cfg, rng.Uint64())
 		if err != nil {
-			return 0
+			return 0, err
 		}
 		res, err := s.Run()
 		if err != nil {
-			return 0
+			return 0, err
 		}
-		return res.Availability
+		return res.Availability, nil
 	})
 }

@@ -14,13 +14,13 @@ import (
 // dead weight at a = 0 (the isolated half gossips on a diluted graph and
 // stalls); as a grows, satiated nodes keep responding and the isolated half
 // completes. The y value is the completed fraction among non-targets.
-func AltruismExperiment(seed uint64, q Quality) *Series {
+func AltruismExperiment(seed uint64, q Quality) (*Series, error) {
 	q = q.Normalize()
 	// The transition happens at very small a: even a few-percent chance of
 	// a satiated node responding restores the isolated half. Sweep the
 	// interesting region.
 	xs := sweep.Range(0, 0.1, q.Points)
-	return sweep.Run(sweep.Config{Name: "isolated-completed-fraction", Xs: xs, Seeds: q.Seeds}, seed, func(a float64, rng *simrng.Source, ws *sim.Workspace) float64 {
+	return sweep.Run(sweep.Config{Name: "isolated-completed-fraction", Xs: xs, Seeds: q.Seeds}, seed, func(a float64, rng *simrng.Source, ws *sim.Workspace) (float64, error) {
 		const n = 200
 		g := graph.RandomRegularish(n, 4, rng.Child("graph"))
 		cfg := tokenmodel.Config{
@@ -31,14 +31,12 @@ func AltruismExperiment(seed uint64, q Quality) *Series {
 			Rounds:   80,
 		}
 		targets := rng.Child("targets").SampleInts(n, n/2)
-		m, err := tokenmodel.New(cfg, rng.Uint64(),
-			tokenmodel.WithTargeter(attack.NewListTargeter(n, targets)),
-			tokenmodel.WithWorkspace(ws))
+		m, err := tokenmodel.New(cfg, rng.Uint64(), satiating(targets), tokenmodel.WithWorkspace(ws))
 		if err != nil {
-			return 0
+			return 0, err
 		}
 		if _, err := m.Run(); err != nil {
-			return 0
+			return 0, err
 		}
 		isTarget := make([]bool, n)
 		for _, t := range targets {
@@ -55,10 +53,16 @@ func AltruismExperiment(seed uint64, q Quality) *Series {
 			}
 		}
 		if total == 0 {
-			return 0
+			return 0, nil
 		}
-		return float64(done) / float64(total)
+		return float64(done) / float64(total), nil
 	})
+}
+
+// satiating is the targeted ideal attack: the attacker satiates exactly
+// the named nodes at the start of every round.
+func satiating(targets []int) tokenmodel.Option {
+	return tokenmodel.WithAdversary(&attack.Strategy{Kind: attack.Ideal, TargetList: targets})
 }
 
 // GridCutResult is one row of the grid-cut experiment (E2).
@@ -117,7 +121,7 @@ func GridCutExperiment(seed uint64) ([]GridCutResult, error) {
 			Rounds:     120,
 			Allocation: alloc,
 		}
-		m, err := tokenmodel.New(cfg, runSeed, tokenmodel.WithTargeter(attack.NewListTargeter(n, targets)))
+		m, err := tokenmodel.New(cfg, runSeed, satiating(targets))
 		if err != nil {
 			return GridCutResult{}, err
 		}
@@ -160,10 +164,10 @@ func GridCutExperiment(seed uint64) ([]GridCutResult, error) {
 // RareTokenExperiment (E3) satiates the single initial holder of a rare
 // token and sweeps altruism a: with a = 0 the whole system is denied that
 // token for the cost of satiating one node; any a > 0 eventually leaks it.
-func RareTokenExperiment(seed uint64, q Quality) *Series {
+func RareTokenExperiment(seed uint64, q Quality) (*Series, error) {
 	q = q.Normalize()
 	xs := sweep.Range(0, 0.3, q.Points)
-	return sweep.Run(sweep.Config{Name: "completed-fraction", Xs: xs, Seeds: q.Seeds}, seed, func(a float64, rng *simrng.Source, ws *sim.Workspace) float64 {
+	return sweep.Run(sweep.Config{Name: "completed-fraction", Xs: xs, Seeds: q.Seeds}, seed, func(a float64, rng *simrng.Source, ws *sim.Workspace) (float64, error) {
 		const n, tokens = 100, 10
 		alloc := make([]int, n)
 		alloc[0] = 0 // node 0 is the sole holder of token 0
@@ -178,16 +182,11 @@ func RareTokenExperiment(seed uint64, q Quality) *Series {
 			Rounds:     60,
 			Allocation: alloc,
 		}
-		m, err := tokenmodel.New(cfg, rng.Uint64(),
-			tokenmodel.WithTargeter(attack.NewListTargeter(n, []int{0})),
-			tokenmodel.WithWorkspace(ws))
+		m, err := tokenmodel.New(cfg, rng.Uint64(), satiating([]int{0}), tokenmodel.WithWorkspace(ws))
 		if err != nil {
-			return 0
+			return 0, err
 		}
 		res, err := m.Run()
-		if err != nil {
-			return 0
-		}
-		return res.CompletedFraction
+		return res.CompletedFraction, err
 	})
 }

@@ -48,9 +48,7 @@ func BenchmarkRoundUnderTradeAttack(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Rounds = 1 << 20
 	cfg.Warmup = 0
-	cfg.Attack = attack.Trade
-	cfg.AttackerFraction = 0.25
-	eng, err := New(cfg, 1)
+	eng, err := New(cfg, 1, attacked(attack.Trade, 0.25))
 	if err != nil {
 		b.Fatal(err)
 	}

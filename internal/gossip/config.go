@@ -23,11 +23,7 @@
 // the property the lotus-eater attack exploits.
 package gossip
 
-import (
-	"fmt"
-
-	"lotuseater/internal/attack"
-)
+import "fmt"
 
 // Config holds every parameter of a simulation run. The zero value is not
 // usable; start from DefaultConfig (Table 1 of the paper).
@@ -63,18 +59,6 @@ type Config struct {
 	// be usable (0.93 in the paper).
 	UsableThreshold float64
 
-	// Attack selects the adversary behavior.
-	Attack attack.Kind
-	// AttackerFraction is the fraction of nodes the adversary controls.
-	AttackerFraction float64
-	// SatiateFraction is the fraction of the system (attacker nodes
-	// included) the adversary tries to satiate (0.70 in the paper).
-	SatiateFraction float64
-	// RotatePeriod, when positive, re-draws the satiated set every that
-	// many rounds (the "intermittently unusable" variant). Zero keeps the
-	// set static.
-	RotatePeriod int
-
 	// Altruism is the probability that a satiated honest node nevertheless
 	// answers a balanced exchange with up to AltruisticGive updates, asking
 	// nothing in return — the parameter a of Section 3's model, transplanted
@@ -84,12 +68,10 @@ type Config struct {
 	AltruisticGive int
 
 	// ObedientFraction is the fraction of honest nodes that follow the
-	// protocol even against self-interest: they enforce rate limits and
-	// report excessive service (Section 4's "leveraging obedience").
+	// protocol even against self-interest: they enforce the installed
+	// defense (WithDefense) and report excessive service (Section 4's
+	// "leveraging obedience").
 	ObedientFraction float64
-	// RateLimitPerPeer caps how many updates an obedient node accepts from
-	// one peer per round (0 disables; Section 5's rate-limiting defense).
-	RateLimitPerPeer int
 	// ReportThreshold marks a single delivery of more than this many
 	// updates as excessive; obedient receivers report it with the signed
 	// receipt (0 disables reporting).
@@ -117,9 +99,6 @@ func DefaultConfig() Config {
 		Rounds:            60,
 		Warmup:            15,
 		UsableThreshold:   0.93,
-		Attack:            attack.None,
-		AttackerFraction:  0,
-		SatiateFraction:   0.70,
 		AltruisticGive:    2,
 		EvictAfterReports: 3,
 	}
@@ -148,22 +127,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("gossip: Warmup must be in [0,%d), got %d", c.Rounds, c.Warmup)
 	case c.UsableThreshold < 0 || c.UsableThreshold > 1:
 		return fmt.Errorf("gossip: UsableThreshold must be in [0,1], got %g", c.UsableThreshold)
-	case c.Attack < attack.None || c.Attack > attack.Trade:
-		return fmt.Errorf("gossip: unknown attack kind %d", c.Attack)
-	case c.AttackerFraction < 0 || c.AttackerFraction > 1:
-		return fmt.Errorf("gossip: AttackerFraction must be in [0,1], got %g", c.AttackerFraction)
-	case c.SatiateFraction < 0 || c.SatiateFraction > 1:
-		return fmt.Errorf("gossip: SatiateFraction must be in [0,1], got %g", c.SatiateFraction)
-	case c.RotatePeriod < 0:
-		return fmt.Errorf("gossip: RotatePeriod must be non-negative, got %d", c.RotatePeriod)
 	case c.Altruism < 0 || c.Altruism > 1:
 		return fmt.Errorf("gossip: Altruism must be in [0,1], got %g", c.Altruism)
 	case c.AltruisticGive < 0:
 		return fmt.Errorf("gossip: AltruisticGive must be non-negative, got %d", c.AltruisticGive)
 	case c.ObedientFraction < 0 || c.ObedientFraction > 1:
 		return fmt.Errorf("gossip: ObedientFraction must be in [0,1], got %g", c.ObedientFraction)
-	case c.RateLimitPerPeer < 0:
-		return fmt.Errorf("gossip: RateLimitPerPeer must be non-negative, got %d", c.RateLimitPerPeer)
 	case c.ReportThreshold < 0:
 		return fmt.Errorf("gossip: ReportThreshold must be non-negative, got %d", c.ReportThreshold)
 	case c.EvictAfterReports < 1:
@@ -182,8 +151,8 @@ const (
 	// RoleObedient nodes follow the protocol even when deviating would pay:
 	// they additionally enforce rate limits and report excessive service.
 	RoleObedient
-	// RoleAttacker nodes are controlled by the adversary; their behavior is
-	// set by the attack kind.
+	// RoleAttacker nodes are placed by the installed adversary, which also
+	// decides their behavior.
 	RoleAttacker
 )
 

@@ -4,20 +4,6 @@ import (
 	"lotuseater/internal/defense"
 )
 
-// attackerServes decides whether attacker node att serves peer inside a
-// protocol exchange this round: a custom adversary's OnExchange hook rules
-// when one is installed; the default Config-derived strategy serves exactly
-// the round's satiation targets (which also honors WithTargeter overrides,
-// since targetsByRound comes from the effective targeter).
-//
-//lotus:allocfree
-func (e *Engine) attackerServes(att, peer int) bool {
-	if e.customAdv {
-		return e.adv.OnExchange(e.round, att, peer)
-	}
-	return e.targetsByRound[e.round].Has(peer)
-}
-
 // execBalanced performs one balanced exchange between the planned pair.
 //
 // Honest semantics: each side offers what the other lacks; the exchange size
@@ -112,7 +98,7 @@ func (e *Engine) altruismOf(v int) float64 {
 //
 //lotus:allocfree
 func (e *Engine) attackerBalanced(att, peer int) {
-	if !e.attackerServes(att, peer) {
+	if !e.adv.OnExchange(e.round, att, peer) {
 		return // isolated nodes get nothing from the attacker
 	}
 	needPeer := e.needsFrom(peer, att, 0)
@@ -263,7 +249,7 @@ func (e *Engine) honestPush(i, j int) {
 //
 //lotus:allocfree
 func (e *Engine) attackerPushInit(att, peer int) {
-	if !e.attackerServes(att, peer) {
+	if !e.adv.OnExchange(e.round, att, peer) {
 		return
 	}
 	wants := e.recentOffer(peer, att, 0)
@@ -290,7 +276,7 @@ func (e *Engine) attackerPushRespond(i, att int) {
 	k := min(len(fresh), e.cfg.PushSize)
 	e.give(fresh[:k], att)
 
-	if e.attackerServes(att, i) {
+	if e.adv.OnExchange(e.round, att, i) {
 		back := e.oldNeeds(i, att, 1)
 		e.deliver(att, i, back, k, true)
 		if k > len(back) {

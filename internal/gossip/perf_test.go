@@ -18,9 +18,6 @@ func bigPathConfig(n int) Config {
 	cfg.CopiesSeeded = 32
 	cfg.Warmup = 0
 	cfg.Rounds = 1 << 20 // effectively unbounded for the measured window
-	cfg.Attack = attack.Ideal
-	cfg.AttackerFraction = 0.02
-	cfg.SatiateFraction = 0.30
 	return cfg
 }
 
@@ -34,7 +31,8 @@ func bigPathConfig(n int) Config {
 // holder array — all O(Nodes) heap traffic.
 func TestStepAllocsIndependentOfPopulation(t *testing.T) {
 	measure := func(n int) float64 {
-		e, err := New(bigPathConfig(n), 11, WithEvalParallel(false))
+		adv := &attack.Strategy{Kind: attack.Ideal, Fraction: 0.02, SatiateFraction: 0.30}
+		e, err := New(bigPathConfig(n), 11, WithAdversary(adv), WithEvalParallel(false))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,11 +72,10 @@ func TestEvalParallelBitIdentical(t *testing.T) {
 		cfg.Nodes = 300
 		cfg.Rounds = 30
 		cfg.Warmup = 5
-		cfg.Attack = kind
-		cfg.AttackerFraction = 0.15
-		cfg.RotatePeriod = 7 // cover epoch re-draws mid-run
 		run := func(parallel bool) Result {
-			e, err := New(cfg, 23, WithEvalParallel(parallel))
+			// RotatePeriod covers epoch re-draws mid-run.
+			adv := &attack.Strategy{Kind: kind, Fraction: 0.15, SatiateFraction: 0.70, RotatePeriod: 7}
+			e, err := New(cfg, 23, WithAdversary(adv), WithEvalParallel(parallel))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -20,12 +20,9 @@ func TestReplayDeterminismQuick(t *testing.T) {
 		cfg.Rounds = 25
 		cfg.Warmup = 5
 		kinds := []attack.Kind{attack.None, attack.Crash, attack.Ideal, attack.Trade}
-		cfg.Attack = kinds[int(kindRaw)%len(kinds)]
-		if cfg.Attack != attack.None {
-			cfg.AttackerFraction = float64(fracRaw%80) / 100
-		}
+		kind := kinds[int(kindRaw)%len(kinds)]
 		run := func() Result {
-			eng, err := New(cfg, seed)
+			eng, err := New(cfg, seed, attacked(kind, float64(fracRaw%80)/100))
 			if err != nil {
 				return Result{}
 			}
@@ -59,11 +56,8 @@ func TestDeliveryBoundedQuick(t *testing.T) {
 		cfg.PushSize = int(pushRaw % 12)
 		cfg.BalanceSlack = int(slackRaw % 3)
 		kinds := []attack.Kind{attack.None, attack.Crash, attack.Ideal, attack.Trade}
-		cfg.Attack = kinds[int(kindRaw)%len(kinds)]
-		if cfg.Attack != attack.None {
-			cfg.AttackerFraction = float64(fracRaw%90) / 100
-		}
-		eng, err := New(cfg, seed)
+		kind := kinds[int(kindRaw)%len(kinds)]
+		eng, err := New(cfg, seed, attacked(kind, float64(fracRaw%90)/100))
 		if err != nil {
 			return false
 		}

@@ -976,60 +976,57 @@ func (s *Sim) rejoinNode(v int) {
 //
 //lotus:allocfree
 func (s *Sim) attackStep() {
-	targets := s.pickTargets()
 	budget := s.cfg.AttackerUplink
-	for _, t := range targets {
+	for _, t := range s.pickTargets() {
 		if budget == 0 {
 			break
 		}
-		missing := s.appendMissing(t, s.missBuf[:0])
-		s.missBuf = missing
-		for _, p := range missing {
-			if budget == 0 {
-				break
-			}
-			if s.def != nil && s.def.Admit(s.tick, -1, t, 1) == 0 {
-				break
-			}
-			s.gainPiece(t, p)
-			s.fromAtk[t]++
-			s.res.AttackerUploaded++
-			budget--
-		}
+		budget = s.satiateTarget(t, budget)
 	}
 }
 
 // advSatiateStep is the instantly-satiating (ideal) adversary's tick: it
 // uploads missing pieces directly to its satiation targets, spending up to
-// the uplink budget, gated per target by the defense's Admit hook. The
-// sparse member list makes the pass O(|satiated set|), not O(Leechers).
+// the uplink budget. The sparse member list makes the pass
+// O(|satiated set|), not O(Leechers).
 //
 //lotus:allocfree
 func (s *Sim) advSatiateStep() {
-	targets := s.adv.Targets(s.tick)
 	budget := s.advUplink
-	for _, t := range targets.Members() {
+	for _, t := range s.adv.Targets(s.tick).Members() {
 		if budget == 0 {
 			break
 		}
 		if t >= s.cfg.Leechers || s.isAttacker[t] || s.nodeState[t] != stateLeeching {
 			continue
 		}
-		missing := s.appendMissing(t, s.missBuf[:0])
-		s.missBuf = missing
-		for _, p := range missing {
-			if budget == 0 {
-				break
-			}
-			if s.def != nil && s.def.Admit(s.tick, -1, t, 1) == 0 {
-				break // this target's per-tick acceptance is exhausted
-			}
-			s.gainPiece(t, p)
-			s.fromAtk[t]++
-			s.res.AttackerUploaded++
-			budget--
-		}
+		budget = s.satiateTarget(t, budget)
 	}
+}
+
+// satiateTarget uploads pieces target t is missing, spending at most budget
+// and stopping early once the defense's Admit hook (sender -1, the external
+// attacker) refuses t more this tick. It returns the budget left. Both
+// attack paths share it: the Config-driven attackStep and the adversary's
+// advSatiateStep.
+//
+//lotus:allocfree
+func (s *Sim) satiateTarget(t, budget int) int {
+	missing := s.appendMissing(t, s.missBuf[:0])
+	s.missBuf = missing
+	for _, p := range missing {
+		if budget == 0 {
+			break
+		}
+		if s.def != nil && s.def.Admit(s.tick, -1, t, 1) == 0 {
+			break // this target's per-tick acceptance is exhausted
+		}
+		s.gainPiece(t, p)
+		s.fromAtk[t]++
+		s.res.AttackerUploaded++
+		budget--
+	}
+	return budget
 }
 
 // pickTargets returns the AttackTargets leechers the adversary focuses on.

@@ -10,6 +10,8 @@
 package sweep
 
 import (
+	"fmt"
+
 	"lotuseater/internal/metrics"
 	"lotuseater/internal/sim"
 	"lotuseater/internal/simrng"
@@ -18,9 +20,9 @@ import (
 // PointFunc runs one sweep point. x is the swept parameter value, rng is a
 // stream derived deterministically from the sweep seed and the point index,
 // and ws is the executing worker's scratch arena (pass it to simulators that
-// accept one to avoid per-replicate allocations). The return value is the
-// measured y.
-type PointFunc func(x float64, rng *simrng.Source, ws *sim.Workspace) float64
+// accept one to avoid per-replicate allocations). It returns the measured y,
+// or the error that kept it from being measured.
+type PointFunc func(x float64, rng *simrng.Source, ws *sim.Workspace) (float64, error)
 
 // Config controls a sweep.
 type Config struct {
@@ -40,10 +42,12 @@ type Config struct {
 // Run evaluates fn at every (x, seed replicate) pair concurrently and
 // returns the per-x means as a series. The result is deterministic for a
 // fixed (cfg, seed, fn): replicate r of point i always sees the stream
-// derived with ChildN("sweep", i*Seeds+r). Nested sweeps (a PointFunc that
-// itself calls Run) are safe: when the shared pool is saturated, tasks fall
-// back to inline execution instead of queueing.
-func Run(cfg Config, seed uint64, fn PointFunc) *metrics.Series {
+// derived with ChildN("sweep", i*Seeds+r). If any replicate fails, Run
+// returns the error of the lowest failing (point, replicate) index — the
+// same error for any worker count — and no series. Nested sweeps (a
+// PointFunc that itself calls Run) are safe: when the shared pool is
+// saturated, tasks fall back to inline execution instead of queueing.
+func Run(cfg Config, seed uint64, fn PointFunc) (*metrics.Series, error) {
 	seeds := cfg.Seeds
 	if seeds <= 0 {
 		seeds = 1
@@ -53,58 +57,25 @@ func Run(cfg Config, seed uint64, fn PointFunc) *metrics.Series {
 	for i := range results {
 		results[i] = make([]float64, seeds)
 	}
+	errs := make([]error, len(cfg.Xs)*seeds)
 
 	root := simrng.New(seed)
 	sim.Go(len(cfg.Xs)*seeds, cfg.Workers, func(j int, ws *sim.Workspace) {
 		pt, rep := j/seeds, j%seeds
 		rng := root.ChildN("sweep", j)
-		results[pt][rep] = fn(cfg.Xs[pt], rng, ws)
+		results[pt][rep], errs[j] = fn(cfg.Xs[pt], rng, ws)
 	})
+	for j, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("sweep %q at x=%g: %w", cfg.Name, cfg.Xs[j/seeds], err)
+		}
+	}
 
 	out := &metrics.Series{Name: cfg.Name}
 	for i, x := range cfg.Xs {
 		out.Add(x, metrics.Mean(results[i]))
 	}
-	return out
-}
-
-// PointStats is the streaming summary of one sweep point's replicates.
-type PointStats struct {
-	// X is the swept parameter value.
-	X float64
-	// Stats folds every replicate's y: mean, variance, min, max, and P²
-	// quantile estimates, all in O(1) memory.
-	Stats *metrics.Stream
-}
-
-// Stats evaluates fn like Run but folds each point's replicates into
-// streaming accumulators instead of buffering a per-replicate slice, so
-// memory is O(points) regardless of Seeds. Each point is one pool task that
-// runs its replicates sequentially in index order; replicate r of point i
-// sees the same ChildN("sweep", i*Seeds+r) stream as Run, so the means are
-// bit-identical to Run's for any worker count (parallelism shifts from
-// points×seeds tasks to points tasks — the right trade once Seeds is large
-// enough to matter for memory).
-func Stats(cfg Config, seed uint64, fn PointFunc) []PointStats {
-	seeds := cfg.Seeds
-	if seeds <= 0 {
-		seeds = 1
-	}
-	out := make([]PointStats, len(cfg.Xs))
-	root := simrng.New(seed)
-	sim.Go(len(cfg.Xs), cfg.Workers, func(pt int, ws *sim.Workspace) {
-		st := metrics.NewStream()
-		for rep := 0; rep < seeds; rep++ {
-			// Recycle the arena between replicates: the previous replicate's
-			// model is gone, and without the reset same-shaped buffers would
-			// pile up seeds-deep instead of being reused.
-			ws.Reset()
-			rng := root.ChildN("sweep", pt*seeds+rep)
-			st.Add(fn(cfg.Xs[pt], rng, ws))
-		}
-		out[pt] = PointStats{X: cfg.Xs[pt], Stats: st}
-	})
-	return out
+	return out, nil
 }
 
 // Range returns count evenly spaced values from lo to hi inclusive.

@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 
-	"lotuseater/internal/attack"
 	"lotuseater/internal/bitset"
 	"lotuseater/internal/graph"
 	"lotuseater/internal/population"
@@ -137,14 +136,13 @@ type Result struct {
 // Sim is one instance of the model. Create with New, drive with Run or Step.
 // Sim implements sim.Model; Snapshot's concrete type is Result.
 type Sim struct {
-	cfg      Config
-	rng      *simrng.Source
-	targeter attack.Targeter // nil = no attacker
-	ws       *sim.Workspace  // nil = private allocations
+	cfg Config
+	rng *simrng.Source
+	ws  *sim.Workspace // nil = private allocations
 
 	// Strategy hooks: adv places attacker nodes and decides targeting and
 	// in-protocol service; def rate-limits what receivers accept. Both are
-	// optional; the legacy WithTargeter path is adv == nil.
+	// optional; without an adversary nobody is attacked.
 	adv        sim.Adversary
 	def        sim.Defense
 	isAttacker []bool
@@ -172,12 +170,6 @@ type Sim struct {
 // Option customizes a Sim.
 type Option func(*Sim)
 
-// WithTargeter installs an attacker that satiates the targeter's chosen
-// nodes at the start of every round.
-func WithTargeter(t attack.Targeter) Option {
-	return func(s *Sim) { s.targeter = t }
-}
-
 // WithWorkspace draws the simulation's bitsets and scratch from a worker's
 // arena instead of the heap, making replicated runs allocation-free on the
 // hot path. The Sim must then not outlive the pool task that built it.
@@ -185,12 +177,14 @@ func WithWorkspace(ws *sim.Workspace) Option {
 	return func(s *Sim) { s.ws = ws }
 }
 
-// WithAdversary installs a full adversary strategy: it places attacker
-// nodes (which hold every token when the strategy trades in protocol or
-// satiates instantly — the adversary sources content out of band, as the
-// paper's "deliberately overestimating the attacker" does), chooses per-
-// round satiation targets, and decides via OnExchange which contacting
-// partners attacker nodes serve.
+// WithAdversary installs the attack: the adversary places attacker nodes
+// (which hold every token when the strategy trades in protocol or satiates
+// instantly — the adversary sources content out of band, as the paper's
+// "deliberately overestimating the attacker" does), chooses per-round
+// satiation targets, and decides via OnExchange which contacting partners
+// attacker nodes serve. A targeted attack that satiates fixed nodes at the
+// start of every round is
+// WithAdversary(&attack.Strategy{Kind: attack.Ideal, TargetList: ids}).
 func WithAdversary(a sim.Adversary) Option {
 	return func(s *Sim) { s.adv = a }
 }
@@ -262,9 +256,6 @@ func New(cfg Config, seed uint64, opts ...Option) (*Sim, error) {
 				// adversary sources content out of band.
 				s.held[a].Fill()
 			}
-		}
-		if s.targeter == nil {
-			s.targeter = attack.TargeterFrom(s.adv)
 		}
 	}
 	for v := 0; v < n; v++ {
@@ -372,21 +363,19 @@ func (s *Sim) Step() error {
 		}
 	}
 
-	// 1. The attacker satiates its targets. A legacy targeter (no adversary
-	// installed) always delivers instantly; an adversary strategy does so
-	// only when it satiates out of protocol (the ideal attack) — trade
-	// attackers must work through exchanges below. The defense's Admit hook
-	// caps how many tokens each target accepts per round, so a rate limit
-	// slows even the "instant" attacker.
-	if s.targeter != nil && (s.adv == nil || s.advInstant) {
-		targets := s.targeter.Satiated(s.round)
+	// 1. The attacker satiates its targets when it does so out of protocol
+	// (the ideal attack) — trade attackers must work through exchanges
+	// below. The defense's Admit hook caps how many tokens each target
+	// accepts per round, so a rate limit slows even the "instant" attacker.
+	if s.advInstant {
+		targets := s.adv.Targets(s.round)
 		if targets.Cap() != n {
-			return fmt.Errorf("tokenmodel: targeter returned a set over %d nodes, want %d", targets.Cap(), n)
+			return fmt.Errorf("tokenmodel: adversary returned a target set over %d nodes, want %d", targets.Cap(), n)
 		}
 		// Sparse iteration: the satiation pass costs O(|satiated set|), not
 		// O(n), and allocates nothing.
 		for _, v := range targets.Members() {
-			if s.satiated(v) || s.gone(v) || (s.isAttacker != nil && s.isAttacker[v]) {
+			if s.satiated(v) || s.gone(v) || s.isAttacker[v] {
 				continue
 			}
 			s.satiate(v)
@@ -471,9 +460,7 @@ func (s *Sim) Step() error {
 func (s *Sim) satiate(v int) {
 	if s.def == nil {
 		s.held[v].Fill()
-		if s.touched != nil {
-			s.touched[v] = true
-		}
+		s.touched[v] = true
 		return
 	}
 	missing := s.held[v].Missing()
@@ -484,7 +471,7 @@ func (s *Sim) satiate(v int) {
 	for _, t := range missing[:granted] {
 		s.held[v].Add(t)
 	}
-	if granted > 0 && s.touched != nil {
+	if granted > 0 {
 		s.touched[v] = true
 	}
 }

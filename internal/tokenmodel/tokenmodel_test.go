@@ -126,11 +126,23 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
+// satiating installs the targeted ideal attack: the named nodes are
+// satiated at the start of every round.
+func satiating(ids ...int) Option {
+	return WithAdversary(&attack.Strategy{Kind: attack.Ideal, TargetList: ids})
+}
+
+// shortTargets is an ideal adversary whose target sets cover the wrong
+// number of nodes.
+type shortTargets struct{ attack.Strategy }
+
+func (*shortTargets) Targets(int) *attack.TargetSet { return attack.NewTargetSet(3, nil) }
+
 // TestAttackerSatiatesTargets: targets hold everything after round 0 and
 // count as completed.
 func TestAttackerSatiatesTargets(t *testing.T) {
 	cfg := validConfig()
-	sim, err := New(cfg, 4, WithTargeter(attack.NewListTargeter(20, []int{3, 5})))
+	sim, err := New(cfg, 4, satiating(3, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +173,7 @@ func TestRareTokenDenial(t *testing.T) {
 		Rounds:     50,
 		Allocation: alloc,
 	}
-	sim, err := New(cfg, 5, WithTargeter(attack.NewListTargeter(n, []int{0})))
+	sim, err := New(cfg, 5, satiating(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +206,7 @@ func TestAltruismLeaksRareToken(t *testing.T) {
 		Rounds:     60,
 		Allocation: alloc,
 	}
-	sim, err := New(cfg, 6, WithTargeter(attack.NewListTargeter(n, []int{0})))
+	sim, err := New(cfg, 6, satiating(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +281,7 @@ func TestStepPastHorizon(t *testing.T) {
 }
 
 func TestBadTargeterLength(t *testing.T) {
-	sim, err := New(validConfig(), 10, WithTargeter(attack.NewListTargeter(3, nil)))
+	sim, err := New(validConfig(), 10, WithAdversary(&shortTargets{attack.Strategy{Kind: attack.Ideal}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +327,7 @@ func TestRoundAccessor(t *testing.T) {
 }
 
 func TestRunPropagatesStepError(t *testing.T) {
-	sim, err := New(validConfig(), 31, WithTargeter(attack.NewListTargeter(3, nil)))
+	sim, err := New(validConfig(), 31, WithAdversary(&shortTargets{attack.Strategy{Kind: attack.Ideal}}))
 	if err != nil {
 		t.Fatal(err)
 	}

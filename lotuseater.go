@@ -2,9 +2,10 @@
 // Friedman, Halpern; PODC 2008). It provides, behind one import:
 //
 //   - a BAR Gossip simulator with the paper's three attacks (crash, ideal
-//     lotus-eater, trade lotus-eater) and its defenses (larger optimistic
-//     pushes, slightly unbalanced exchanges, obedient reporting, rate
-//     limiting) — see NewGossip;
+//     lotus-eater, trade lotus-eater), each an AttackStrategy passed to
+//     NewGossip, and its defenses (larger optimistic pushes, slightly
+//     unbalanced exchanges, obedient reporting; rate limiting in the
+//     "ratelimit" experiment);
 //   - the abstract token-collecting model (G, T, sat, f, c, a) of Section 3
 //     — see NewTokenModel;
 //   - a scrip economy with threshold strategies — see NewScrip;
@@ -74,6 +75,9 @@ type (
 
 	// AttackKind enumerates the paper's attacks on BAR Gossip.
 	AttackKind = attack.Kind
+	// AttackStrategy is the paper's adversary: which nodes it controls,
+	// which it satiates, and how its nodes behave in exchanges.
+	AttackStrategy = attack.Strategy
 )
 
 // Attack kinds, re-exported for configuration literals.
@@ -106,9 +110,14 @@ const (
 // measurement settings.
 func DefaultGossipConfig() GossipConfig { return gossip.DefaultConfig() }
 
-// NewGossip builds a BAR Gossip simulation; deterministic in (cfg, seed).
-func NewGossip(cfg GossipConfig, seed uint64) (*gossip.Engine, error) {
-	return gossip.New(cfg, seed)
+// NewGossip builds a BAR Gossip simulation under adv (nil = no attack);
+// deterministic in (cfg, adv, seed). adv is stateful: use a fresh value per
+// simulation.
+func NewGossip(cfg GossipConfig, seed uint64, adv *AttackStrategy) (*gossip.Engine, error) {
+	if adv == nil {
+		return gossip.New(cfg, seed)
+	}
+	return gossip.New(cfg, seed, gossip.WithAdversary(adv))
 }
 
 // NewTokenModel builds a Section 3 token-collecting simulation. satiate,
@@ -118,8 +127,7 @@ func NewTokenModel(cfg TokenModelConfig, seed uint64, satiate []int) (*tokenmode
 	if len(satiate) == 0 {
 		return tokenmodel.New(cfg, seed)
 	}
-	t := attack.NewListTargeter(cfg.Graph.N(), satiate)
-	return tokenmodel.New(cfg, seed, tokenmodel.WithTargeter(t))
+	return tokenmodel.New(cfg, seed, tokenmodel.WithAdversary(&attack.Strategy{Kind: attack.Ideal, TargetList: satiate}))
 }
 
 // DefaultScripConfig returns a small healthy scrip economy.
