@@ -2,8 +2,8 @@ package lotuseater
 
 // One benchmark per table and figure of the paper, plus the extension
 // experiments E1-E9 from DESIGN.md. Each bench regenerates its artifact at
-// reduced sweep quality (the full-fidelity versions live behind
-// cmd/figures -quality full) and reports a headline reproduction metric via
+// reduced sweep quality (the full-fidelity versions live behind `lotus-sim
+// figures -quality full`) and reports a headline reproduction metric via
 // b.ReportMetric, so `go test -bench=.` doubles as a quick sanity pass over
 // the whole reproduction.
 

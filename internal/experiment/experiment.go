@@ -135,3 +135,17 @@ func Run(name string, seed uint64, q Quality) (*metrics.Artifact, error) {
 	}
 	return e.Run(seed, q)
 }
+
+// collect runs n series-producing steps in order and returns their series,
+// stopping at the first error.
+func collect(n int, step func(i int) (*Series, error)) ([]*Series, error) {
+	out := make([]*Series, 0, n)
+	for i := 0; i < n; i++ {
+		s, err := step(i)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, s)
+	}
+	return out, nil
+}

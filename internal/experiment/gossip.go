@@ -39,23 +39,25 @@ func gossipDeliverySweep(name string, base gossip.Config, kind attack.Kind, xs [
 	})
 }
 
-// attackSweeps runs gossipDeliverySweep for each named attack variant, in
-// order, stopping at the first error.
-func attackSweeps(base gossip.Config, xs []float64, seeds int, seed uint64, kinds ...attack.Kind) ([]*Series, error) {
-	names := map[attack.Kind]string{
-		attack.Crash: "crash",
-		attack.Ideal: "ideal-lotus-eater",
-		attack.Trade: "trade-lotus-eater",
-	}
-	out := make([]*Series, 0, len(kinds))
-	for _, kind := range kinds {
-		s, err := gossipDeliverySweep(names[kind], base, kind, xs, seeds, seed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
+// figureAttacks are the three curves of Figures 1 and 2.
+var figureAttacks = []struct {
+	name string
+	kind attack.Kind
+}{
+	{"crash", attack.Crash},
+	{"ideal-lotus-eater", attack.Ideal},
+	{"trade-lotus-eater", attack.Trade},
+}
+
+// attackFigure sweeps attacker fraction over [0, 0.9] for each of
+// figureAttacks on base.
+func attackFigure(base gossip.Config, seed uint64, q Quality) ([]*Series, error) {
+	q = q.Normalize()
+	xs := sweep.Range(0, 0.9, q.Points)
+	return collect(len(figureAttacks), func(i int) (*Series, error) {
+		a := figureAttacks[i]
+		return gossipDeliverySweep(a.name, base, a.kind, xs, q.Seeds, seed)
+	})
 }
 
 // Figure1 regenerates Figure 1 of the paper: fraction of updates received
@@ -63,19 +65,15 @@ func attackSweeps(base gossip.Config, xs []float64, seeds int, seed uint64, kind
 // attacker, for the crash, ideal lotus-eater, and trade lotus-eater
 // attacks, at Table 1 parameters (push size 2).
 func Figure1(seed uint64, q Quality) ([]*Series, error) {
-	q = q.Normalize()
-	return attackSweeps(gossip.DefaultConfig(), sweep.Range(0, 0.9, q.Points), q.Seeds, seed,
-		attack.Crash, attack.Ideal, attack.Trade)
+	return attackFigure(gossip.DefaultConfig(), seed, q)
 }
 
 // Figure2 regenerates Figure 2: the same three attacks with the optimistic
 // push size raised to 10, which makes partial satiation far less effective.
 func Figure2(seed uint64, q Quality) ([]*Series, error) {
-	q = q.Normalize()
 	base := gossip.DefaultConfig()
 	base.PushSize = 10
-	return attackSweeps(base, sweep.Range(0, 0.9, q.Points), q.Seeds, seed,
-		attack.Crash, attack.Ideal, attack.Trade)
+	return attackFigure(base, seed, q)
 }
 
 // Figure3 regenerates Figure 3: the trade lotus-eater attack against the
@@ -84,8 +82,7 @@ func Figure2(seed uint64, q Quality) ([]*Series, error) {
 func Figure3(seed uint64, q Quality) ([]*Series, error) {
 	q = q.Normalize()
 	xs := sweep.Range(0, 0.7, q.Points)
-	var out []*Series
-	for _, v := range []struct {
+	variants := []struct {
 		name            string
 		pushSize, slack int
 	}{
@@ -93,17 +90,14 @@ func Figure3(seed uint64, q Quality) ([]*Series, error) {
 		{"push2-unbalanced", 2, 1},
 		{"push4-balanced", 4, 0},
 		{"push4-unbalanced", 4, 1},
-	} {
+	}
+	return collect(len(variants), func(i int) (*Series, error) {
+		v := variants[i]
 		base := gossip.DefaultConfig()
 		base.PushSize = v.pushSize
 		base.BalanceSlack = v.slack
-		s, err := gossipDeliverySweep(v.name, base, attack.Trade, xs, q.Seeds, seed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
+		return gossipDeliverySweep(v.name, base, attack.Trade, xs, q.Seeds, seed)
+	})
 }
 
 // resultSweeps runs one sweep per named metric over the same replicates:
@@ -112,18 +106,13 @@ func Figure3(seed uint64, q Quality) ([]*Series, error) {
 // every series sees the same runs.
 func resultSweeps(xs []float64, seeds int, seed uint64, run func(x float64, rng *simrng.Source) (gossip.Result, error),
 	metrics ...namedMetric) ([]*Series, error) {
-	out := make([]*Series, 0, len(metrics))
-	for _, m := range metrics {
-		s, err := sweep.Run(sweep.Config{Name: m.name, Xs: xs, Seeds: seeds}, seed, func(x float64, rng *simrng.Source, _ *sim.Workspace) (float64, error) {
+	return collect(len(metrics), func(i int) (*Series, error) {
+		m := metrics[i]
+		return sweep.Run(sweep.Config{Name: m.name, Xs: xs, Seeds: seeds}, seed, func(x float64, rng *simrng.Source, _ *sim.Workspace) (float64, error) {
 			res, err := run(x, rng)
 			return m.of(res), err
 		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
+	})
 }
 
 // namedMetric extracts one series value from a gossip result.
@@ -192,16 +181,17 @@ func RateLimitExperiment(seed uint64, q Quality) ([]*Series, error) {
 	xs := []float64{0, 1, 2, 3, 4, 6, 8, 12, 16, 24}
 	cfg := gossip.DefaultConfig()
 	cfg.ObedientFraction = 1
-	var out []*Series
-	for i, arm := range []struct {
+	arms := []struct {
 		name     string
 		kind     attack.Kind
 		fraction float64
 	}{
 		{"ideal-attack(10%)", attack.Ideal, 0.10},
 		{"no-attack", attack.None, 0},
-	} {
-		s, err := sweep.Run(sweep.Config{Name: arm.name, Xs: xs, Seeds: q.Seeds}, seed+uint64(i), func(x float64, rng *simrng.Source, _ *sim.Workspace) (float64, error) {
+	}
+	return collect(len(arms), func(i int) (*Series, error) {
+		arm := arms[i]
+		return sweep.Run(sweep.Config{Name: arm.name, Xs: xs, Seeds: q.Seeds}, seed+uint64(i), func(x float64, rng *simrng.Source, _ *sim.Workspace) (float64, error) {
 			opts := []gossip.Option{paperAttack(arm.kind, arm.fraction)}
 			if x > 0 {
 				opts = append(opts, gossip.WithDefense(defense.NewLimit(int(x))))
@@ -209,12 +199,7 @@ func RateLimitExperiment(seed uint64, q Quality) ([]*Series, error) {
 			res, err := runGossip(cfg, rng.Uint64(), opts...)
 			return res.Isolated.MeanDelivery, err
 		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
+	})
 }
 
 // RotatingResult summarizes one arm of the rotating-target experiment (E9).
