@@ -16,7 +16,7 @@ func main() {
 	// 12 copies seeded, push size 2.
 	cfg := lotuseater.DefaultGossipConfig()
 
-	healthy, err := lotuseater.NewGossip(cfg, 1, nil)
+	healthy, err := lotuseater.NewGossip(cfg, 1, nil, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func main() {
 		SatiateFraction: 0.70,
 	}
 
-	attacked, err := lotuseater.NewGossip(cfg, 1, attack)
+	attacked, err := lotuseater.NewGossip(cfg, 1, attack, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -303,7 +303,7 @@ func TestFacadeConstructors(t *testing.T) {
 	cfg.Rounds = 30
 	cfg.Warmup = 5
 	for _, adv := range []*AttackStrategy{nil, {Kind: AttackTrade, Fraction: 0.2, SatiateFraction: 0.7}} {
-		eng, err := NewGossip(cfg, 1, adv)
+		eng, err := NewGossip(cfg, 1, adv, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

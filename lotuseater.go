@@ -2,10 +2,10 @@
 // Friedman, Halpern; PODC 2008). It provides, behind one import:
 //
 //   - a BAR Gossip simulator with the paper's three attacks (crash, ideal
-//     lotus-eater, trade lotus-eater), each an AttackStrategy passed to
-//     NewGossip, and its defenses (larger optimistic pushes, slightly
-//     unbalanced exchanges, obedient reporting; rate limiting in the
-//     "ratelimit" experiment);
+//     lotus-eater, trade lotus-eater) and its defenses (larger optimistic
+//     pushes, slightly unbalanced exchanges, obedient reporting, rate
+//     limiting) — see NewGossip, which takes the attack as an
+//     AttackStrategy;
 //   - the abstract token-collecting model (G, T, sat, f, c, a) of Section 3
 //     — see NewTokenModel;
 //   - a scrip economy with threshold strategies — see NewScrip;
@@ -29,6 +29,7 @@ package lotuseater
 import (
 	"lotuseater/internal/attack"
 	"lotuseater/internal/coding"
+	"lotuseater/internal/defense"
 	"lotuseater/internal/gossip"
 	"lotuseater/internal/graph"
 	"lotuseater/internal/scrip"
@@ -110,14 +111,19 @@ const (
 // measurement settings.
 func DefaultGossipConfig() GossipConfig { return gossip.DefaultConfig() }
 
-// NewGossip builds a BAR Gossip simulation under adv (nil = no attack);
-// deterministic in (cfg, adv, seed). adv is stateful: use a fresh value per
-// simulation.
-func NewGossip(cfg GossipConfig, seed uint64, adv *AttackStrategy) (*gossip.Engine, error) {
-	if adv == nil {
-		return gossip.New(cfg, seed)
+// NewGossip builds a BAR Gossip simulation under adv (nil = no attack),
+// with obedient nodes accepting at most rateLimit updates per peer per
+// round (0 = no limit); deterministic in (cfg, adv, rateLimit, seed). adv
+// is stateful: use a fresh value per simulation.
+func NewGossip(cfg GossipConfig, seed uint64, adv *AttackStrategy, rateLimit int) (*gossip.Engine, error) {
+	var opts []gossip.Option
+	if adv != nil {
+		opts = append(opts, gossip.WithAdversary(adv))
 	}
-	return gossip.New(cfg, seed, gossip.WithAdversary(adv))
+	if rateLimit > 0 {
+		opts = append(opts, gossip.WithDefense(defense.NewLimit(rateLimit)))
+	}
+	return gossip.New(cfg, seed, opts...)
 }
 
 // NewTokenModel builds a Section 3 token-collecting simulation. satiate,
