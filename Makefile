@@ -58,10 +58,10 @@ check-stats:
 	$(GO) test -count=1 -run 'TestStoppingRuleCoverage' -v ./internal/adaptive
 	$(GO) test -count=1 -run 'TestTCriticalGolden|TestTQuantileInvertsCDF|TestAccumulatorHalfWidth' ./internal/metrics
 
-# Rewrite the golden CLI outputs after an intentional output change; review
-# the diff like code.
+# Rewrite the golden CLI outputs and registry artifacts after an
+# intentional output change; review the diff like code.
 golden:
-	$(GO) test ./internal/cli -run Golden -update
+	$(GO) test ./internal/cli ./internal/experiment -run Golden -update
 
 cover:
 	$(GO) test -coverprofile=coverage.out ./...

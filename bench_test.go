@@ -37,10 +37,7 @@ func BenchmarkTable1Defaults(b *testing.B) {
 func BenchmarkFigure1(b *testing.B) {
 	var crossover float64
 	for i := 0; i < b.N; i++ {
-		series, err := Figure1(uint64(i), benchQ())
-		if err != nil {
-			b.Fatal(err)
-		}
+		series := must(Figure1(uint64(i), benchQ()))(b)
 		if x, ok := series[2].CrossoverBelow(0.93); ok {
 			crossover = x
 		}
@@ -51,10 +48,7 @@ func BenchmarkFigure1(b *testing.B) {
 func BenchmarkFigure2(b *testing.B) {
 	var crossover float64
 	for i := 0; i < b.N; i++ {
-		series, err := Figure2(uint64(i), benchQ())
-		if err != nil {
-			b.Fatal(err)
-		}
+		series := must(Figure2(uint64(i), benchQ()))(b)
 		if x, ok := series[1].CrossoverBelow(0.93); ok {
 			crossover = x
 		}
@@ -65,10 +59,7 @@ func BenchmarkFigure2(b *testing.B) {
 func BenchmarkFigure3(b *testing.B) {
 	var y float64
 	for i := 0; i < b.N; i++ {
-		series, err := Figure3(uint64(i), benchQ())
-		if err != nil {
-			b.Fatal(err)
-		}
+		series := must(Figure3(uint64(i), benchQ()))(b)
 		y = series[3].YAt(0.35) // push4+slack curve at 35% attackers
 	}
 	b.ReportMetric(y, "defended-delivery")
@@ -77,10 +68,7 @@ func BenchmarkFigure3(b *testing.B) {
 func BenchmarkTokenAltruism(b *testing.B) {
 	var y float64
 	for i := 0; i < b.N; i++ {
-		s, err := AltruismExperiment(uint64(i), benchQ())
-		if err != nil {
-			b.Fatal(err)
-		}
+		s := must(AltruismExperiment(uint64(i), benchQ()))(b)
 		y = s.Points[len(s.Points)-1].Y
 	}
 	b.ReportMetric(y, "completion-at-max-a")
@@ -89,10 +77,7 @@ func BenchmarkTokenAltruism(b *testing.B) {
 func BenchmarkGridCut(b *testing.B) {
 	var coverage float64
 	for i := 0; i < b.N; i++ {
-		rows, err := GridCutExperiment(uint64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := must(GridCutExperiment(uint64(i)))(b)
 		for _, r := range rows {
 			if r.Topology == "grid/column-cut" {
 				coverage = r.RareTokenCoverage
@@ -105,10 +90,7 @@ func BenchmarkGridCut(b *testing.B) {
 func BenchmarkRareToken(b *testing.B) {
 	var denied float64
 	for i := 0; i < b.N; i++ {
-		s, err := RareTokenExperiment(uint64(i), benchQ())
-		if err != nil {
-			b.Fatal(err)
-		}
+		s := must(RareTokenExperiment(uint64(i), benchQ()))(b)
 		denied = s.Points[0].Y
 	}
 	b.ReportMetric(denied, "completion-at-a0")
@@ -117,10 +99,7 @@ func BenchmarkRareToken(b *testing.B) {
 func BenchmarkScripSatiation(b *testing.B) {
 	var y float64
 	for i := 0; i < b.N; i++ {
-		s, err := ScripMoneySupplyExperiment(uint64(i), benchQ())
-		if err != nil {
-			b.Fatal(err)
-		}
+		s := must(ScripMoneySupplyExperiment(uint64(i), benchQ()))(b)
 		y = s.Points[len(s.Points)-1].Y
 	}
 	b.ReportMetric(y, "satiated-at-max-f")
@@ -129,10 +108,7 @@ func BenchmarkScripSatiation(b *testing.B) {
 func BenchmarkScripRareProvider(b *testing.B) {
 	var y float64
 	for i := 0; i < b.N; i++ {
-		series, err := ScripRareProviderExperiment(uint64(i), benchQ())
-		if err != nil {
-			b.Fatal(err)
-		}
+		series := must(ScripRareProviderExperiment(uint64(i), benchQ()))(b)
 		y = series[0].Points[0].Y
 	}
 	b.ReportMetric(y, "attacked-availability")
@@ -141,10 +117,7 @@ func BenchmarkScripRareProvider(b *testing.B) {
 func BenchmarkSwarmAttack(b *testing.B) {
 	var completed float64
 	for i := 0; i < b.N; i++ {
-		rows, err := SwarmExperiment(uint64(i), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := must(SwarmExperiment(uint64(i), 1))(b)
 		for _, r := range rows {
 			if r.Scenario == "fragile/rare-attack/rarest-first" {
 				completed = r.CompletedFraction
@@ -157,10 +130,7 @@ func BenchmarkSwarmAttack(b *testing.B) {
 func BenchmarkCodingDefense(b *testing.B) {
 	var gap float64
 	for i := 0; i < b.N; i++ {
-		series, err := CodingExperiment(uint64(i), benchQ())
-		if err != nil {
-			b.Fatal(err)
-		}
+		series := must(CodingExperiment(uint64(i), benchQ()))(b)
 		last := len(series[0].Points) - 1
 		gap = series[1].Points[last].Y - series[0].Points[last].Y
 	}
@@ -170,10 +140,7 @@ func BenchmarkCodingDefense(b *testing.B) {
 func BenchmarkReportingDefense(b *testing.B) {
 	var evictions float64
 	for i := 0; i < b.N; i++ {
-		series, err := ReportingExperiment(uint64(i), benchQ())
-		if err != nil {
-			b.Fatal(err)
-		}
+		series := must(ReportingExperiment(uint64(i), benchQ()))(b)
 		evictions = series[1].Points[len(series[1].Points)-1].Y
 	}
 	b.ReportMetric(evictions, "evictions-at-full-obedience")
@@ -182,10 +149,7 @@ func BenchmarkReportingDefense(b *testing.B) {
 func BenchmarkRateLimit(b *testing.B) {
 	var recovered float64
 	for i := 0; i < b.N; i++ {
-		series, err := RateLimitExperiment(uint64(i), benchQ())
-		if err != nil {
-			b.Fatal(err)
-		}
+		series := must(RateLimitExperiment(uint64(i), benchQ()))(b)
 		recovered = series[0].Points[1].Y - series[0].Points[0].Y
 	}
 	b.ReportMetric(recovered, "delivery-recovered-by-cap1")
@@ -194,10 +158,7 @@ func BenchmarkRateLimit(b *testing.B) {
 func BenchmarkRotatingAttack(b *testing.B) {
 	var spread float64
 	for i := 0; i < b.N; i++ {
-		rows, err := RotatingExperiment(uint64(i), 20)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := must(RotatingExperiment(uint64(i), 20))(b)
 		spread = rows[1].NodesWithOutage - rows[0].NodesWithOutage
 	}
 	b.ReportMetric(spread, "outage-spread")
@@ -206,10 +167,7 @@ func BenchmarkRotatingAttack(b *testing.B) {
 func BenchmarkScripInflation(b *testing.B) {
 	var cliff float64
 	for i := 0; i < b.N; i++ {
-		s, err := ScripInflationExperiment(uint64(i), benchQ())
-		if err != nil {
-			b.Fatal(err)
-		}
+		s := must(ScripInflationExperiment(uint64(i), benchQ()))(b)
 		cliff = s.Points[len(s.Points)-1].Y
 	}
 	b.ReportMetric(cliff, "availability-past-cliff")
@@ -218,10 +176,7 @@ func BenchmarkScripInflation(b *testing.B) {
 func BenchmarkScripHoarding(b *testing.B) {
 	var y float64
 	for i := 0; i < b.N; i++ {
-		s, err := ScripHoardingExperiment(uint64(i), benchQ())
-		if err != nil {
-			b.Fatal(err)
-		}
+		s := must(ScripHoardingExperiment(uint64(i), benchQ()))(b)
 		y = s.Points[len(s.Points)-1].Y
 	}
 	b.ReportMetric(y, "availability-at-max-hoarders")
@@ -230,10 +185,7 @@ func BenchmarkScripHoarding(b *testing.B) {
 func BenchmarkSatiateAblation(b *testing.B) {
 	var peak float64
 	for i := 0; i < b.N; i++ {
-		series, err := SatiateFractionAblation(uint64(i), benchQ())
-		if err != nil {
-			b.Fatal(err)
-		}
+		series := must(SatiateFractionAblation(uint64(i), benchQ()))(b)
 		for _, p := range series[1].Points {
 			if p.Y > peak {
 				peak = p.Y

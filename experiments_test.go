@@ -31,10 +31,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 }
 
 func TestFigure1Ordering(t *testing.T) {
-	series, err := Figure1(1, quickQ())
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := must(Figure1(1, quickQ()))(t)
 	if len(series) != 3 {
 		t.Fatalf("%d series", len(series))
 	}
@@ -62,14 +59,8 @@ func TestFigure1Ordering(t *testing.T) {
 
 func TestFigure2BluntsAttacks(t *testing.T) {
 	q := quickQ()
-	fig1, err := Figure1(2, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fig2, err := Figure2(2, q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig1 := must(Figure1(2, q))(t)
+	fig2 := must(Figure2(2, q))(t)
 	// Larger pushes help the isolated nodes against the ideal attack at
 	// every interior point.
 	x := fig1[1].Points[2].X
@@ -80,10 +71,7 @@ func TestFigure2BluntsAttacks(t *testing.T) {
 }
 
 func TestFigure3UnbalancedHelps(t *testing.T) {
-	series, err := Figure3(3, quickQ())
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := must(Figure3(3, quickQ()))(t)
 	if len(series) != 4 {
 		t.Fatalf("%d series", len(series))
 	}
@@ -100,10 +88,7 @@ func TestFigure3UnbalancedHelps(t *testing.T) {
 }
 
 func TestAltruismExperimentMonotoneEnds(t *testing.T) {
-	s, err := AltruismExperiment(4, quickQ())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := must(AltruismExperiment(4, quickQ()))(t)
 	first := s.Points[0].Y
 	last := s.Points[len(s.Points)-1].Y
 	if last <= first {
@@ -115,10 +100,7 @@ func TestAltruismExperimentMonotoneEnds(t *testing.T) {
 }
 
 func TestGridCutExperimentShowsBarrier(t *testing.T) {
-	rows, err := GridCutExperiment(5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := must(GridCutExperiment(5))(t)
 	byName := map[string]GridCutResult{}
 	for _, r := range rows {
 		byName[r.Topology] = r
@@ -142,10 +124,7 @@ func TestGridCutExperimentShowsBarrier(t *testing.T) {
 }
 
 func TestRareTokenExperimentAltruismRescues(t *testing.T) {
-	s, err := RareTokenExperiment(6, quickQ())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := must(RareTokenExperiment(6, quickQ()))(t)
 	if s.Points[0].Y > 0.1 {
 		t.Fatalf("a=0 rare-token denial failed: completion %.3f", s.Points[0].Y)
 	}
@@ -156,10 +135,7 @@ func TestRareTokenExperimentAltruismRescues(t *testing.T) {
 }
 
 func TestScripMoneySupplyBound(t *testing.T) {
-	s, err := ScripMoneySupplyExperiment(7, quickQ())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := must(ScripMoneySupplyExperiment(7, quickQ()))(t)
 	// Satiated fraction collapses as the targeted fraction grows.
 	small := s.Points[1].Y
 	big := s.Points[len(s.Points)-1].Y
@@ -172,10 +148,7 @@ func TestScripMoneySupplyBound(t *testing.T) {
 }
 
 func TestScripRareProviderDenial(t *testing.T) {
-	series, err := ScripRareProviderExperiment(8, quickQ())
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := must(ScripRareProviderExperiment(8, quickQ()))(t)
 	attacked, defended := series[0], series[1]
 	last := len(attacked.Points) - 1
 	// A well-funded attack collapses specialty availability relative to the
@@ -196,10 +169,7 @@ func TestScripRareProviderDenial(t *testing.T) {
 }
 
 func TestSwarmExperimentClaims(t *testing.T) {
-	rows, err := SwarmExperiment(9, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := must(SwarmExperiment(9, 2))(t)
 	byName := map[string]SwarmRow{}
 	for _, r := range rows {
 		byName[r.Scenario] = r
@@ -224,10 +194,7 @@ func TestSwarmExperimentClaims(t *testing.T) {
 }
 
 func TestCodingExperimentDefends(t *testing.T) {
-	series, err := CodingExperiment(10, quickQ())
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := must(CodingExperiment(10, quickQ()))(t)
 	plain, coded := series[0], series[1]
 	lastIdx := len(plain.Points) - 1
 	if plain.Points[lastIdx].Y > 0.75 {
@@ -242,10 +209,7 @@ func TestCodingExperimentDefends(t *testing.T) {
 }
 
 func TestReportingExperimentEvicts(t *testing.T) {
-	series, err := ReportingExperiment(11, quickQ())
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := must(ReportingExperiment(11, quickQ()))(t)
 	delivery, evictions := series[0], series[1]
 	if evictions.Points[0].Y != 0 {
 		t.Fatalf("evictions with zero obedience: %g", evictions.Points[0].Y)
@@ -261,10 +225,7 @@ func TestReportingExperimentEvicts(t *testing.T) {
 }
 
 func TestRateLimitExperimentDefends(t *testing.T) {
-	series, err := RateLimitExperiment(12, quickQ())
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := must(RateLimitExperiment(12, quickQ()))(t)
 	attacked, clean := series[0], series[1]
 	// Cap 1 (index 1) must beat no cap (index 0) under attack.
 	if attacked.Points[1].Y <= attacked.Points[0].Y {
@@ -280,10 +241,7 @@ func TestRateLimitExperimentDefends(t *testing.T) {
 }
 
 func TestRotatingExperimentSpreadsOutages(t *testing.T) {
-	rows, err := RotatingExperiment(13, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := must(RotatingExperiment(13, 20))(t)
 	if len(rows) != 2 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -294,6 +252,18 @@ func TestRotatingExperimentSpreadsOutages(t *testing.T) {
 	}
 	if rotating.NodesWithOutage < 0.5 {
 		t.Fatalf("rotating attack reached only %.3f of nodes", rotating.NodesWithOutage)
+	}
+}
+
+// must fails tb on a driver error and returns the driver's result:
+// must(Figure1(seed, q))(t).
+func must[T any](v T, err error) func(testing.TB) T {
+	return func(tb testing.TB) T {
+		tb.Helper()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return v
 	}
 }
 
@@ -380,10 +350,7 @@ func TestQualityNormalize(t *testing.T) {
 }
 
 func TestInflationExperimentCliff(t *testing.T) {
-	s, err := ScripInflationExperiment(14, quickQ())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := must(ScripInflationExperiment(14, quickQ()))(t)
 	last := s.Points[len(s.Points)-1]
 	if last.Y != 0 {
 		t.Fatalf("economy survived %g/capita inflation: %.3f", last.X, last.Y)
@@ -395,10 +362,7 @@ func TestInflationExperimentCliff(t *testing.T) {
 }
 
 func TestHoardingExperimentMonotone(t *testing.T) {
-	s, err := ScripHoardingExperiment(15, quickQ())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := must(ScripHoardingExperiment(15, quickQ()))(t)
 	first, last := s.Points[0].Y, s.Points[len(s.Points)-1].Y
 	if last >= first-0.3 {
 		t.Fatalf("hoarding did not crash availability: %.3f -> %.3f", first, last)
@@ -406,10 +370,7 @@ func TestHoardingExperimentMonotone(t *testing.T) {
 }
 
 func TestSatiateFractionAblation(t *testing.T) {
-	series, err := SatiateFractionAblation(16, Quality{Points: 6, Seeds: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := must(SatiateFractionAblation(16, Quality{Points: 6, Seeds: 2}))(t)
 	delivery, victims := series[0], series[1]
 	// Per-victim damage grows with the satiated fraction...
 	first, last := delivery.Points[0].Y, delivery.Points[len(delivery.Points)-1].Y
