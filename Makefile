@@ -50,6 +50,9 @@ race:
 	$(GO) test -race -count=1 \
 		-run 'TestShardedPassesRace|TestEvalParallelBitIdentical|TestIncrementalRarityMatchesRescan' \
 		./internal/swarm
+	# The gossip planning pass (initiation flags and partner draws) shards
+	# only at multi-shard populations; this test forces that split.
+	$(GO) test -race -count=1 -run 'TestEvalParallelBitIdentical' ./internal/gossip
 
 # Statistical self-tests for the adaptive stopping rule: Student-t golden
 # constants and the 1000-trial CI coverage check, uncached so the numbers

@@ -2,9 +2,6 @@ package gossip
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"lotuseater/internal/attack"
 	"lotuseater/internal/defense"
@@ -59,14 +56,15 @@ type Engine struct {
 	live           []*liveUpdate
 	targetsByRound []*attack.TargetSet
 
-	// Pooled per-round scratch: the planning permutation and pairing list
-	// are reused every round, retired holder arrays are recycled into new
-	// updates, and the two needs buffers back the sequential exchange
-	// executor — steady-state rounds allocate O(|satiated set|) on the
+	// Pooled per-round scratch: the planning permutation, initiation flags,
+	// partner draws and pairing list are reused every round, retired holder
+	// arrays are recycled into new updates, and the two needs buffers back
+	// the exchanges — steady-state rounds allocate O(|satiated set|) on the
 	// satiation path and O(1) elsewhere, independent of Nodes.
 	permBuf     []int
 	pairBuf     []pairing
 	initFlags   []bool
+	partners    []int
 	holderPool  [][]bool
 	needScratch [2][]int
 
@@ -86,11 +84,9 @@ type Engine struct {
 	perRoundIsolated []float64
 	nodeRound        [][]int // [node][release round] delivered count
 
-	usefulSent   atomic.Int64
-	junkSent     atomic.Int64
-	attackerSent atomic.Int64
-
-	parallel bool
+	usefulSent   int64
+	junkSent     int64
+	attackerSent int64
 }
 
 // Option customizes an Engine.
@@ -110,24 +106,6 @@ func WithAdversary(a sim.Adversary) Option {
 // through its Admit hook.
 func WithDefense(d sim.Defense) Option {
 	return func(e *Engine) { e.def = d }
-}
-
-// WithParallel enables the batched concurrent exchange executor. Results
-// are bit-identical to the default sequential executor (the equivalence is
-// tested), but for Table 1-sized systems the sequential path is faster:
-// individual exchanges are microseconds of work and share update holder
-// arrays, so intra-round parallelism buys mostly cache-line contention.
-// Parallelism pays off at the sweep level instead (internal/sweep runs
-// whole simulations concurrently). The option remains for very large
-// configurations where per-round work dominates.
-func WithParallel() Option {
-	return func(e *Engine) { e.parallel = true }
-}
-
-// WithSequential forces single-threaded exchange execution; it is the
-// default and exists for explicit equivalence tests.
-func WithSequential() Option {
-	return func(e *Engine) { e.parallel = false }
 }
 
 // WithChurn installs a lifecycle schedule: each event's node leaves or
@@ -278,6 +256,7 @@ func New(cfg Config, seed uint64, opts ...Option) (*Engine, error) {
 	}
 	e.targetsByRound = make([]*attack.TargetSet, cfg.Rounds)
 	e.initFlags = make([]bool, n)
+	e.partners = make([]int, n)
 	if cfg.TrackPerNode {
 		e.nodeRound = make([][]int, n)
 		for v := range e.nodeRound {
@@ -368,9 +347,13 @@ func (e *Engine) Step() error {
 		e.idealDeliver()
 	}
 
-	e.runPhase("balanced", e.planBalanced(), e.execBalanced)
+	for _, p := range e.planBalanced() {
+		e.execBalanced(p)
+	}
 	if e.cfg.PushSize > 0 {
-		e.runPhase("push", e.planPush(), e.execPush)
+		for _, p := range e.planPush() {
+			e.execPush(p)
+		}
 	}
 
 	e.applyEvictions()
@@ -485,7 +468,7 @@ func (e *Engine) idealDeliver() {
 				}
 			}
 			u.holders[v] = true
-			e.attackerSent.Add(1)
+			e.attackerSent++
 		}
 	}
 }
@@ -524,33 +507,36 @@ func (e *Engine) planPush() []pairing {
 	})
 }
 
+// plan runs in two steps. The first is a per-node pass that decides
+// whether v initiates this phase and, if so, draws its verifiable partner.
+// It is a pure read of round state: the predicate reads holder bits, live
+// deadlines and roles, and evicted/departed are fixed for all of plan —
+// departures happen at the top of Step and evictions only in
+// applyEvictions at round end. Partner is a pure function of (seed, label,
+// round, initiator), and draws for distinct initiators are independent, so
+// for large populations the pass shards across the worker pool with
+// bit-identical results. The second step walks a seeded permutation in
+// order and keeps the pairings whose partner is still in the system.
+//
 //lotus:allocfree
 func (e *Engine) plan(label string, initiates func(v int) bool) []pairing {
 	n := e.cfg.Nodes
-	// Evaluate "does v initiate?" for every node up front. The predicate is
-	// a pure read of round state (holder bits, live deadlines, roles), so
-	// for large populations the scan shards across the worker pool with
-	// bit-identical results; plan order below is untouched either way.
-	flags := e.initFlags
 	if e.evalParallel > 0 || (e.evalParallel == 0 && n >= evalParallelMinNodes) {
 		sim.ParallelFor(n, 0, func(_, start, end int) {
-			for v := start; v < end; v++ {
-				flags[v] = initiates(v)
-			}
+			e.drawInitiators(label, initiates, start, end)
 		})
 	} else {
-		for v := 0; v < n; v++ {
-			flags[v] = initiates(v)
-		}
+		e.drawInitiators(label, initiates, 0, n)
 	}
+	flags, partners := e.initFlags, e.partners
 	order := e.rng.ChildN("order-"+label, e.round).PermInto(e.permBuf, n)
 	e.permBuf = order
 	pairs := e.pairBuf[:0]
 	for _, v := range order {
-		if e.evicted[v] || e.departed[v] || !flags[v] {
+		if !flags[v] {
 			continue
 		}
-		p := sign.Partner(e.pseed, label, e.round, v, e.cfg.Nodes)
+		p := partners[v]
 		if e.evicted[p] || e.departed[p] {
 			continue // the slot is wasted, like contacting a crashed node
 		}
@@ -558,6 +544,21 @@ func (e *Engine) plan(label string, initiates func(v int) bool) []pairing {
 	}
 	e.pairBuf = pairs
 	return pairs
+}
+
+// drawInitiators is plan's per-node pass over [start, end): it sets
+// initFlags[v] for every node in the system that initiates, and draws
+// partners[v] for each of them.
+//
+//lotus:allocfree
+func (e *Engine) drawInitiators(label string, initiates func(v int) bool, start, end int) {
+	for v := start; v < end; v++ {
+		f := !e.evicted[v] && !e.departed[v] && initiates(v)
+		e.initFlags[v] = f
+		if f {
+			e.partners[v] = sign.Partner(e.pseed, label, e.round, v, e.cfg.Nodes)
+		}
+	}
 }
 
 // lacksAnyLive reports whether v is missing any live update released no
@@ -571,67 +572,6 @@ func (e *Engine) lacksAnyLive(v, maxRelease int) bool {
 		}
 	}
 	return false
-}
-
-// runPhase executes the planned pairings, preserving plan-order semantics
-// while running node-disjoint exchanges concurrently. Two pairings conflict
-// exactly when they share a node: each exchange reads and writes only its
-// two parties' holder bits. Conflicting pairings run in plan order;
-// node-disjoint pairings commute, so batching is exact, not approximate.
-func (e *Engine) runPhase(_ string, pairs []pairing, exec func(pairing)) {
-	if !e.parallel {
-		for _, p := range pairs {
-			exec(p)
-		}
-		return
-	}
-	remaining := pairs
-	used := make([]bool, e.cfg.Nodes)
-	for len(remaining) > 0 {
-		clear(used)
-		batch := remaining[:0:0]
-		var deferred []pairing
-		for _, p := range remaining {
-			conflict := used[p.initiator] || used[p.partner]
-			// Once a node is blocked, later pairings touching it must also
-			// wait, or plan order among conflicting pairs would invert.
-			used[p.initiator] = true
-			used[p.partner] = true
-			if conflict {
-				deferred = append(deferred, p)
-				continue
-			}
-			batch = append(batch, p)
-		}
-		// Execute the batch across a few worker goroutines. Individual
-		// exchanges are microseconds of work, so chunking matters: one
-		// goroutine per pair would cost more in scheduling than it saves.
-		const pairsPerWorker = 16
-		workers := len(batch) / pairsPerWorker
-		if max := runtime.GOMAXPROCS(0); workers > max {
-			workers = max
-		}
-		if workers <= 1 {
-			for _, p := range batch {
-				exec(p)
-			}
-		} else {
-			var wg sync.WaitGroup
-			chunk := (len(batch) + workers - 1) / workers
-			for start := 0; start < len(batch); start += chunk {
-				end := min(start+chunk, len(batch))
-				wg.Add(1)
-				go func(pairs []pairing) {
-					defer wg.Done()
-					for _, p := range pairs {
-						exec(p)
-					}
-				}(batch[start:end])
-			}
-			wg.Wait()
-		}
-		remaining = deferred
-	}
 }
 
 // applyEvictions makes report-board evictions effective at round end, so
@@ -733,9 +673,9 @@ func (e *Engine) result() Result {
 		PerRoundHonest:   append([]float64(nil), e.perRoundHonest...),
 		PerRoundIsolated: append([]float64(nil), e.perRoundIsolated...),
 		Bandwidth: Bandwidth{
-			UsefulSent:   e.usefulSent.Load(),
-			JunkSent:     e.junkSent.Load(),
-			AttackerSent: e.attackerSent.Load(),
+			UsefulSent:   e.usefulSent,
+			JunkSent:     e.junkSent,
+			AttackerSent: e.attackerSent,
 		},
 	}
 	if e.board != nil {

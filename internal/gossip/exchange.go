@@ -109,7 +109,7 @@ func (e *Engine) attackerBalanced(att, peer int) {
 	recip := min(len(needAtt), len(needPeer))
 	e.deliver(att, peer, needPeer, recip, true)
 	e.give(needAtt[:recip], att)
-	e.usefulSent.Add(int64(recip))
+	e.usefulSent += int64(recip)
 }
 
 // deliver transfers the updates at the given live indices from node `from`
@@ -143,9 +143,9 @@ func (e *Engine) deliver(from, to int, indices []int, reciprocated int, attacker
 	}
 	got := e.give(indices[:granted], to)
 	if attacker {
-		e.attackerSent.Add(int64(got))
+		e.attackerSent += int64(got)
 	} else {
-		e.usefulSent.Add(int64(got))
+		e.usefulSent += int64(got)
 	}
 }
 
@@ -200,13 +200,13 @@ func (e *Engine) execPush(p pairing) {
 //lotus:allocfree
 func (e *Engine) recentOffer(to, src int, slot int) []int {
 	cutoff := e.round - e.cfg.RecentWindow
-	out := e.takeNeeds(slot)
+	out := e.needScratch[slot][:0]
 	for idx, u := range e.live {
 		if u.release > cutoff && u.deadline >= e.round && !u.holders[to] && u.holders[src] {
 			out = append(out, idx)
 		}
 	}
-	e.storeNeeds(slot, out)
+	e.needScratch[slot] = out
 	return out
 }
 
@@ -216,13 +216,13 @@ func (e *Engine) recentOffer(to, src int, slot int) []int {
 //lotus:allocfree
 func (e *Engine) oldNeeds(who, src int, slot int) []int {
 	cutoff := e.round - e.cfg.RecentWindow
-	out := e.takeNeeds(slot)
+	out := e.needScratch[slot][:0]
 	for idx, u := range e.live {
 		if u.release <= cutoff && u.deadline >= e.round && !u.holders[who] && u.holders[src] {
 			out = append(out, idx)
 		}
 	}
-	e.storeNeeds(slot, out)
+	e.needScratch[slot] = out
 	return out
 }
 
@@ -240,7 +240,7 @@ func (e *Engine) honestPush(i, j int) {
 	back := e.oldNeeds(i, j, 1)
 	r := min(len(back), k)
 	e.deliver(j, i, back[:r], k, false)
-	e.junkSent.Add(int64(k - r))
+	e.junkSent += int64(k - r)
 }
 
 // attackerPushInit is a trade attacker initiating a push: it offers the
@@ -261,8 +261,8 @@ func (e *Engine) attackerPushInit(att, peer int) {
 	back := e.oldNeeds(att, peer, 1)
 	r := min(len(back), k)
 	e.give(back[:r], att)
-	e.usefulSent.Add(int64(r))
-	e.junkSent.Add(int64(k - r))
+	e.usefulSent += int64(r)
+	e.junkSent += int64(k - r)
 }
 
 // attackerPushRespond is a trade attacker answering an honest push: it takes
@@ -280,9 +280,9 @@ func (e *Engine) attackerPushRespond(i, att int) {
 		back := e.oldNeeds(i, att, 1)
 		e.deliver(att, i, back, k, true)
 		if k > len(back) {
-			e.junkSent.Add(int64(k - len(back)))
+			e.junkSent += int64(k - len(back))
 		}
 		return
 	}
-	e.junkSent.Add(int64(k))
+	e.junkSent += int64(k)
 }

@@ -27,37 +27,16 @@ type liveUpdate struct {
 	measured bool
 }
 
-// takeNeeds hands out the slot-th pooled needs buffer on the sequential
-// executor; under WithParallel execs run concurrently and must not share
-// scratch, so a nil slice (heap append) comes back instead. Each exec uses
-// at most two needs-shaped buffers at once, hence two slots.
-//
-//lotus:allocfree
-func (e *Engine) takeNeeds(slot int) []int {
-	if e.parallel {
-		return nil
-	}
-	return e.needScratch[slot][:0]
-}
-
-// storeNeeds writes a possibly-regrown pooled buffer back to its slot.
-//
-//lotus:allocfree
-func (e *Engine) storeNeeds(slot int, buf []int) {
-	if !e.parallel {
-		e.needScratch[slot] = buf
-	}
-}
-
 // needsFrom collects the live updates dst lacks that src holds and can
 // offer. It is the hot inner loop of the simulator, so it works on the
-// engine's live slice directly, appends into the slot-th pooled buffer (see
-// takeNeeds), and takes the offering side as a plain node id — a predicate
+// engine's live slice directly, appends into the slot-th pooled needs
+// buffer (each exec uses at most two needs-shaped buffers at once, hence
+// two slots), and takes the offering side as a plain node id — a predicate
 // closure here would allocate once per exchange, O(Nodes) per round.
 //
 //lotus:allocfree
 func (e *Engine) needsFrom(dst, src int, slot int) []int {
-	out := e.takeNeeds(slot)
+	out := e.needScratch[slot][:0]
 	for idx, u := range e.live {
 		if u.deadline < e.round {
 			continue
@@ -66,7 +45,7 @@ func (e *Engine) needsFrom(dst, src int, slot int) []int {
 			out = append(out, idx)
 		}
 	}
-	e.storeNeeds(slot, out)
+	e.needScratch[slot] = out
 	return out
 }
 
