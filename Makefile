@@ -43,7 +43,7 @@ race:
 		./internal/scenario/... ./internal/attack/... ./internal/defense/... ./internal/cli/... \
 		./internal/gossip/... ./internal/swarm/... ./internal/serve/... ./internal/adaptive/... \
 		./internal/cluster/... ./internal/obs/... ./internal/population/... \
-		./internal/tokenmodel/...
+		./internal/tokenmodel/... ./internal/coding/...
 	# The swarm's widened ParallelFor passes (sharded unchoke scoring, the
 	# leecher scans, the reverse-position/rarity builds) only fan out above
 	# ~32k nodes; these tests force that scale and shard split under -race.
@@ -53,6 +53,9 @@ race:
 	# The gossip planning pass (initiation flags and partner draws) shards
 	# only at multi-shard populations; this test forces that split.
 	$(GO) test -race -count=1 -run 'TestEvalParallelBitIdentical' ./internal/gossip
+	# The token model's snapshot and merge passes shard only at multi-shard
+	# populations; this test runs them at three shards.
+	$(GO) test -race -count=1 -run 'TestMultiShardParity' ./internal/tokenmodel
 
 # Statistical self-tests for the adaptive stopping rule: Student-t golden
 # constants and the 1000-trial CI coverage check, uncached so the numbers

@@ -136,9 +136,26 @@ type Dissemination struct {
 	departed   []bool
 	symWeights []float64
 
-	round  int
-	satBuf []bool // per-round start-of-round satiation snapshot, reused
-	res    DisseminationResult
+	round int
+	res   DisseminationResult
+
+	// Round scratch, reused every round so step allocates nothing that
+	// grows with the population: satBuf is the start-of-round satiation
+	// snapshot, sample each contact draw, cands a plain-mode sender's
+	// candidate symbols and transfers the round's queued units.
+	satBuf    []bool
+	sample    []int
+	cands     []int
+	transfers []transfer
+}
+
+// transfer is one unit queued to flow from one node to another, applied
+// after every contact of the round has been resolved.
+type transfer struct {
+	from int
+	to   int
+	pkt  Packet // coded mode
+	sym  int    // plain mode
 }
 
 // DisseminationOption customizes a Dissemination.
@@ -207,9 +224,11 @@ func NewDissemination(cfg DisseminationConfig, seed uint64, targeter attack.Targ
 			d.decs[v] = dec
 		}
 	} else {
+		// One contiguous arena backs every node's symbol set.
+		arena := bitset.NewArena(n, cfg.Symbols)
 		d.plain = make([]*bitset.Set, n)
 		for v := 0; v < n; v++ {
-			d.plain[v] = bitset.New(cfg.Symbols)
+			d.plain[v] = &arena[v]
 			tok := v % cfg.Symbols
 			if cfg.Allocation != nil {
 				tok = cfg.Allocation[v]
@@ -241,6 +260,7 @@ func NewDissemination(cfg DisseminationConfig, seed uint64, targeter attack.Targ
 		d.churn = population.NewCursor(cfg.Churn)
 		d.departed = make([]bool, n)
 	}
+	d.satBuf = make([]bool, n)
 	if cfg.SymbolWeights != nil {
 		d.symWeights = population.Normalize(cfg.SymbolWeights)
 	}
@@ -414,6 +434,10 @@ func (d *Dissemination) Snapshot() (any, error) {
 	return res, nil
 }
 
+// step is one round: lifecycle, attacker satiation, contact draws queuing
+// transfers, then the transfers landing.
+//
+//lotus:allocfree
 func (d *Dissemination) step() error {
 	n := d.cfg.Graph.N()
 	// 0. Lifecycle: departures and arrivals due this round take effect
@@ -437,7 +461,7 @@ func (d *Dissemination) step() error {
 	if d.targeter != nil && (d.adv == nil || d.advInstant) {
 		targets := d.targeter.Satiated(d.round)
 		if targets.Cap() != n {
-			return fmt.Errorf("coding: targeter returned a set over %d nodes, want %d", targets.Cap(), n)
+			return fmt.Errorf("coding: targeter returned a set over %d nodes, want %d", targets.Cap(), n) //lotus:ignore allocfree cold guard for a broken targeter
 		}
 		// Sparse iteration: O(|satiated set|) per round, not O(n).
 		for _, v := range targets.Members() {
@@ -454,39 +478,11 @@ func (d *Dissemination) step() error {
 	// satiated partners do not respond (a = 0 — the worst case the coding
 	// defense must survive). Transfers read start-of-round state.
 	rng := d.rng.ChildN("round", d.round)
-	if d.satBuf == nil {
-		d.satBuf = make([]bool, n)
-	}
 	sat := d.satBuf
 	for v := 0; v < n; v++ {
 		sat[v] = d.satiated(v)
 	}
-	type transfer struct {
-		from int
-		to   int
-		pkt  Packet // coded mode
-		sym  int    // plain mode
-	}
-	var transfers []transfer
-	// queue adds one unit flowing src -> dst: a fresh recoding of the
-	// sender's span (coded) or a random symbol the receiver lacks (plain).
-	queue := func(src, dst int) {
-		if d.cfg.Coded {
-			if pkt, ok := d.decs[src].Recode(rng); ok {
-				transfers = append(transfers, transfer{from: src, to: dst, pkt: pkt})
-			}
-			return
-		}
-		var cands []int
-		d.plain[src].ForEach(func(s int) {
-			if !d.plain[dst].Has(s) {
-				cands = append(cands, s)
-			}
-		})
-		if len(cands) > 0 {
-			transfers = append(transfers, transfer{from: src, to: dst, sym: d.pickSymbol(cands, rng)})
-		}
-	}
+	d.transfers = d.transfers[:0]
 	for v := 0; v < n; v++ {
 		if d.gone(v) {
 			continue
@@ -496,7 +492,7 @@ func (d *Dissemination) step() error {
 			// contacts to serve their satiation targets; crash and ideal
 			// attackers stay silent.
 			if d.advTrades {
-				d.attackerContacts(v, sat, rng, queue)
+				d.attackerContacts(v, sat, rng)
 			}
 			continue
 		}
@@ -508,7 +504,8 @@ func (d *Dissemination) step() error {
 			continue
 		}
 		c := min(d.contactsOf(v), len(nb))
-		for _, idx := range rng.SampleInts(len(nb), c) {
+		d.sample = rng.SampleIntsInto(d.sample, len(nb), c)
+		for _, idx := range d.sample {
 			p := nb[idx]
 			if d.gone(p) {
 				continue
@@ -516,7 +513,7 @@ func (d *Dissemination) step() error {
 			if d.isAttacker != nil && d.isAttacker[p] {
 				// The contacted attacker serves per OnExchange, one-way.
 				if d.adv.OnExchange(d.round, p, v) {
-					queue(p, v)
+					d.queue(p, v, rng)
 				}
 				continue
 			}
@@ -524,11 +521,11 @@ func (d *Dissemination) step() error {
 				continue
 			}
 			// Bidirectional single-unit exchange.
-			queue(p, v)
-			queue(v, p)
+			d.queue(p, v, rng)
+			d.queue(v, p, rng)
 		}
 	}
-	for _, t := range transfers {
+	for _, t := range d.transfers {
 		if d.def != nil && d.def.Admit(d.round, t.from, t.to, 1) == 0 {
 			continue
 		}
@@ -543,20 +540,37 @@ func (d *Dissemination) step() error {
 	return nil
 }
 
+// queue adds one unit flowing src -> dst to the round's transfers: a fresh
+// recoding of the sender's span (coded) or a random symbol the receiver
+// lacks (plain).
+func (d *Dissemination) queue(src, dst int, rng *simrng.Source) {
+	if d.cfg.Coded {
+		if pkt, ok := d.decs[src].Recode(rng); ok {
+			d.transfers = append(d.transfers, transfer{from: src, to: dst, pkt: pkt})
+		}
+		return
+	}
+	d.cands = d.plain[src].AppendDiff(d.plain[dst], d.cands[:0])
+	if len(d.cands) > 0 {
+		d.transfers = append(d.transfers, transfer{from: src, to: dst, sym: d.pickSymbol(d.cands, rng)})
+	}
+}
+
 // attackerContacts is a trade attacker's round: contact up to c random
 // neighbors and queue one unit for each satiation target among them.
-func (d *Dissemination) attackerContacts(v int, sat []bool, rng *simrng.Source, queue func(src, dst int)) {
+func (d *Dissemination) attackerContacts(v int, sat []bool, rng *simrng.Source) {
 	nb := d.cfg.Graph.AdjList(v)
 	if len(nb) == 0 {
 		return
 	}
 	c := min(d.contactsOf(v), len(nb))
-	for _, idx := range rng.SampleInts(len(nb), c) {
+	d.sample = rng.SampleIntsInto(d.sample, len(nb), c)
+	for _, idx := range d.sample {
 		p := nb[idx]
 		if d.gone(p) || d.isAttacker[p] || sat[p] || !d.adv.OnExchange(d.round, v, p) {
 			continue
 		}
-		queue(v, p)
+		d.queue(v, p, rng)
 	}
 }
 

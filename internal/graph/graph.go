@@ -224,8 +224,10 @@ func RandomRegularish(n, deg int, rng *simrng.Source) *Graph {
 	us := make([]int32, 0, n*deg)
 	vs := make([]int32, 0, n*deg)
 	degCnt := make([]int32, n)
+	var sample []int
 	for u := 0; u < n; u++ {
-		for _, v := range rng.SampleInts(n-1, deg) {
+		sample = rng.SampleIntsInto(sample, n-1, deg)
+		for _, v := range sample {
 			if v >= u {
 				v++
 			}

@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -319,5 +322,21 @@ func TestComponentsPartition(t *testing.T) {
 	}, &quick.Config{MaxCount: 100})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRandomRegularishDigest pins the edges of a 10⁴-node RandomRegularish
+// graph, recorded when each node's neighbour draw still allocated its own
+// index map and slice. Sampling into one reused buffer must draw exactly
+// the same neighbours.
+func TestRandomRegularishDigest(t *testing.T) {
+	g := RandomRegularish(10000, 4, simrng.New(42).Child("graph"))
+	h := sha256.New()
+	for v := 0; v < g.N(); v++ {
+		fmt.Fprintf(h, "%d:%v\n", v, g.AdjList(v))
+	}
+	const want = "f43a102c42fa50bb6031effb6ece4d7f32915fcd8c8a49d99df0b46662dd151f"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want || g.M() != 39988 {
+		t.Fatalf("graph digest %s with %d edges, want %s with 39988", got, g.M(), want)
 	}
 }

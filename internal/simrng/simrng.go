@@ -12,6 +12,7 @@ package simrng
 import (
 	"hash/fnv"
 	"math/rand/v2"
+	"slices"
 )
 
 // splitMix64 is the SplitMix64 finalizer. It is used to decorrelate derived
@@ -95,11 +96,7 @@ func (s *Source) Perm(n int) []int { return s.rng.Perm(n) }
 // builds it), so hot loops can drop the per-round allocation without
 // changing any result; the equivalence is pinned by a test.
 func (s *Source) PermInto(buf []int, n int) []int {
-	if cap(buf) >= n {
-		buf = buf[:n]
-	} else {
-		buf = make([]int, n)
-	}
+	buf = grow(buf, n)
 	for i := range buf {
 		buf[i] = i
 	}
@@ -112,29 +109,48 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }
 
 // SampleInts returns k distinct integers drawn uniformly from [0, n).
 // It panics if k > n or k < 0. The result is in random order.
-func (s *Source) SampleInts(n, k int) []int {
+func (s *Source) SampleInts(n, k int) []int { return s.SampleIntsInto(nil, n, k) }
+
+// smallSample is the largest k whose rejection draws check for duplicates
+// by scanning the values drawn so far; larger samples keep a set.
+const smallSample = 16
+
+// SampleIntsInto draws exactly the values SampleInts(n, k) draws, writing
+// them into buf's storage when it is large enough, and returns them. Hot
+// loops keep the returned slice and pass it back in, so a round of
+// per-node contact draws allocates nothing. It panics if k > n or k < 0.
+func (s *Source) SampleIntsInto(buf []int, n, k int) []int {
 	if k < 0 || k > n {
 		panic("simrng: sample size out of range")
 	}
 	if k == 0 {
-		return nil
+		return buf[:0]
 	}
 	// For small k relative to n use rejection sampling; otherwise use a
 	// partial Fisher-Yates over the index range.
 	if k*4 <= n {
-		seen := make(map[int]struct{}, k)
-		out := make([]int, 0, k)
+		out := grow(buf, k)[:0]
+		var seen map[int]struct{}
+		if k > smallSample {
+			seen = make(map[int]struct{}, k)
+		}
 		for len(out) < k {
 			v := s.rng.IntN(n)
-			if _, dup := seen[v]; dup {
-				continue
+			if seen == nil {
+				if slices.Contains(out, v) {
+					continue
+				}
+			} else {
+				if _, dup := seen[v]; dup {
+					continue
+				}
+				seen[v] = struct{}{}
 			}
-			seen[v] = struct{}{}
 			out = append(out, v)
 		}
 		return out
 	}
-	idx := make([]int, n)
+	idx := grow(buf, n)
 	for i := range idx {
 		idx[i] = i
 	}
@@ -142,7 +158,16 @@ func (s *Source) SampleInts(n, k int) []int {
 		j := i + s.rng.IntN(n-i)
 		idx[i], idx[j] = idx[j], idx[i]
 	}
-	return idx[:k:k]
+	return idx[:k]
+}
+
+// grow returns buf resliced to length n, or a fresh slice when its
+// capacity is too small.
+func grow(buf []int, n int) []int {
+	if cap(buf) >= n {
+		return buf[:n]
+	}
+	return make([]int, n)
 }
 
 // PickOther returns a uniform element of [0, n) that is not self.

@@ -2,6 +2,7 @@ package simrng
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -286,5 +287,95 @@ func TestPermIntoMatchesPerm(t *testing.T) {
 		if n > 0 && &got[0] != &buf[0] {
 			t.Fatalf("n=%d: PermInto reallocated despite sufficient capacity", n)
 		}
+	}
+}
+
+// sampleIntsPins are SampleInts draws recorded from the map-based sampler
+// before SampleIntsInto existed, with the next IntN(1<<30) of the same
+// stream (it pins how much randomness each draw consumed). The table
+// covers the small-k rejection branch (k <= 16, with duplicate rejections
+// at seeds 3 and 5), the large-k rejection branch (k > 16, k*4 <= n, with
+// duplicates at seeds 6-8) and the partial Fisher–Yates branch (k*4 > n).
+var sampleIntsPins = []struct {
+	seed uint64
+	n, k int
+	want []int
+	next int
+}{
+	{1, 100, 3, []int{94, 19, 9}, 824786113},
+	{2, 10, 2, []int{3, 8}, 224517367},
+	{3, 1000, 16, []int{649, 841, 731, 588, 501, 531, 310, 118, 395, 309, 69, 100, 657, 74, 536, 402}, 390895941},
+	{4, 4, 1, []int{2}, 452463409},
+	{5, 64, 16, []int{63, 29, 44, 27, 5, 62, 8, 58, 32, 34, 19, 45, 53, 37, 12, 57}, 639928971},
+	{6, 100, 17, []int{37, 60, 26, 88, 14, 82, 89, 4, 97, 18, 17, 77, 42, 24, 79, 11, 93}, 868761530},
+	{7, 90, 20, []int{58, 72, 53, 43, 45, 22, 89, 54, 41, 62, 1, 57, 25, 79, 35, 14, 78, 21, 50, 11}, 285081131},
+	{8, 400, 33, []int{112, 25, 33, 235, 139, 300, 115, 49, 328, 298, 391, 17, 85, 204, 367, 316, 339, 321, 392, 96, 75, 377, 292, 347, 269, 21, 308, 151, 169, 253, 39, 332, 246}, 262201052},
+	{9, 10, 7, []int{2, 9, 4, 7, 1, 3, 6}, 967093221},
+	{10, 5, 5, []int{0, 1, 4, 3, 2}, 599922911},
+	{11, 30, 8, []int{3, 17, 11, 28, 14, 27, 23, 16}, 67353818},
+	{12, 3, 1, []int{1}, 992743388},
+	{13, 1, 1, []int{0}, 529656253},
+}
+
+// TestSampleIntsIntoMatchesPins: SampleInts and SampleIntsInto reproduce
+// the recorded draws and leave the stream where the recorded sampler left
+// it, whatever buffer SampleIntsInto is handed — nil, too short, or a
+// reused one longer than needed (whose stale contents must not leak).
+func TestSampleIntsIntoMatchesPins(t *testing.T) {
+	reused := make([]int, 0, 512)
+	for _, p := range sampleIntsPins {
+		for _, d := range []struct {
+			name string
+			draw func(s *Source) []int
+		}{
+			{"SampleInts", func(s *Source) []int { return s.SampleInts(p.n, p.k) }},
+			{"nil", func(s *Source) []int { return s.SampleIntsInto(nil, p.n, p.k) }},
+			{"short", func(s *Source) []int { return s.SampleIntsInto(make([]int, 0, 1), p.n, p.k) }},
+			{"reused", func(s *Source) []int {
+				full := reused[:cap(reused)]
+				for i := range full {
+					full[i] = -7
+				}
+				reused = s.SampleIntsInto(reused, p.n, p.k)
+				return reused
+			}},
+		} {
+			s := New(p.seed)
+			got := d.draw(s)
+			if !slices.Equal(got, p.want) {
+				t.Fatalf("%s(seed %d, n %d, k %d) = %v, want %v", d.name, p.seed, p.n, p.k, got, p.want)
+			}
+			if next := s.IntN(1 << 30); next != p.next {
+				t.Fatalf("%s(seed %d, n %d, k %d): next draw %d, want %d (stream consumption changed)", d.name, p.seed, p.n, p.k, next, p.next)
+			}
+		}
+	}
+	if cap(reused) != 512 {
+		t.Fatalf("reused buffer reallocated: cap %d, want 512", cap(reused))
+	}
+}
+
+// TestSampleIntsIntoEdgeCases: k == 0 draws nothing and returns an empty
+// slice; k out of [0, n] panics like SampleInts.
+func TestSampleIntsIntoEdgeCases(t *testing.T) {
+	s := New(3)
+	if got := s.SampleIntsInto(make([]int, 4), 10, 0); len(got) != 0 {
+		t.Fatalf("k == 0 returned %v", got)
+	}
+	if got := s.SampleIntsInto(nil, 0, 0); len(got) != 0 {
+		t.Fatalf("n == k == 0 returned %v", got)
+	}
+	if s.IntN(1<<30) != New(3).IntN(1<<30) {
+		t.Fatal("k == 0 consumed randomness")
+	}
+	for _, c := range []struct{ n, k int }{{3, 4}, {3, -1}, {0, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("SampleIntsInto(nil, %d, %d) did not panic", c.n, c.k)
+				}
+			}()
+			s.SampleIntsInto(nil, c.n, c.k)
+		}()
 	}
 }

@@ -161,10 +161,14 @@ type Sim struct {
 	departed []bool
 
 	// Round scratch, allocated once at New (from the workspace when one is
-	// installed) and reused every round — Step allocates nothing.
-	snapshot []*bitset.Set
-	gains    []*bitset.Set
-	sat      []bool
+	// installed) and reused every round — Step allocates nothing that grows
+	// with the population. sample holds each contact draw, shardCounts one
+	// satiated count per ParallelFor shard of the merge pass.
+	snapshot    []*bitset.Set
+	gains       []*bitset.Set
+	sat         []bool
+	sample      []int
+	shardCounts []int
 }
 
 // Option customizes a Sim.
@@ -210,24 +214,12 @@ func New(cfg Config, seed uint64, opts ...Option) (*Sim, error) {
 	for _, opt := range opts {
 		opt(s)
 	}
-	if s.ws != nil {
-		s.held = s.ws.Bitsets(n, cfg.Tokens)
-		s.snapshot = s.ws.Bitsets(n, cfg.Tokens)
-		s.gains = s.ws.Bitsets(n, cfg.Tokens)
-		s.sat = s.ws.Bools(n)
-		s.completed = s.ws.Ints(n)
-	} else {
-		s.held = make([]*bitset.Set, n)
-		s.snapshot = make([]*bitset.Set, n)
-		s.gains = make([]*bitset.Set, n)
-		for v := 0; v < n; v++ {
-			s.held[v] = bitset.New(cfg.Tokens)
-			s.snapshot[v] = bitset.New(cfg.Tokens)
-			s.gains[v] = bitset.New(cfg.Tokens)
-		}
-		s.sat = make([]bool, n)
-		s.completed = make([]int, n)
-	}
+	s.held = s.sets(n)
+	s.snapshot = s.sets(n)
+	s.gains = s.sets(n)
+	s.sat = s.bools(n)
+	s.completed = s.ints(n)
+	s.shardCounts = s.ints((n + sim.DefaultGrain - 1) / sim.DefaultGrain)
 	for v := 0; v < n; v++ {
 		tok := v % cfg.Tokens
 		if cfg.Allocation != nil {
@@ -239,13 +231,8 @@ func New(cfg Config, seed uint64, opts ...Option) (*Sim, error) {
 	if s.adv != nil {
 		s.advTrades = sim.TradesInProtocol(s.adv)
 		s.advInstant = sim.SatiatesInstantly(s.adv)
-		if s.ws != nil {
-			s.isAttacker = s.ws.Bools(n)
-			s.touched = s.ws.Bools(n)
-		} else {
-			s.isAttacker = make([]bool, n)
-			s.touched = make([]bool, n)
-		}
+		s.isAttacker = s.bools(n)
+		s.touched = s.bools(n)
 		for _, a := range s.adv.Place(n, s.rng.Child("adversary")) {
 			if a < 0 || a >= n {
 				return nil, fmt.Errorf("tokenmodel: adversary placed node %d outside [0,%d)", a, n)
@@ -265,13 +252,40 @@ func New(cfg Config, seed uint64, opts ...Option) (*Sim, error) {
 	}
 	if len(cfg.Churn) > 0 {
 		s.churn = population.NewCursor(cfg.Churn)
-		if s.ws != nil {
-			s.departed = s.ws.Bools(n)
-		} else {
-			s.departed = make([]bool, n)
-		}
+		s.departed = s.bools(n)
 	}
 	return s, nil
+}
+
+// sets returns n empty token sets: the workspace's when one is installed,
+// otherwise views into one contiguous arena, so per-node passes walk
+// packed memory.
+func (s *Sim) sets(n int) []*bitset.Set {
+	if s.ws != nil {
+		return s.ws.Bitsets(n, s.cfg.Tokens)
+	}
+	arena := bitset.NewArena(n, s.cfg.Tokens)
+	out := make([]*bitset.Set, n)
+	for v := range arena {
+		out[v] = &arena[v]
+	}
+	return out
+}
+
+// bools and ints return zeroed per-node storage, from the workspace when
+// one is installed.
+func (s *Sim) bools(n int) []bool {
+	if s.ws != nil {
+		return s.ws.Bools(n)
+	}
+	return make([]bool, n)
+}
+
+func (s *Sim) ints(n int) []int {
+	if s.ws != nil {
+		return s.ws.Ints(n)
+	}
+	return make([]int, n)
 }
 
 // gone reports whether node v is currently departed.
@@ -345,10 +359,15 @@ func (s *Sim) Has(v, t int) bool { return s.held[v].Has(t) }
 // care about organic completion should restrict to non-target nodes.
 func (s *Sim) CompletionRound(v int) int { return s.completed[v] }
 
-// Step simulates one round.
+// Step simulates one round. The snapshot and merge passes shard across
+// the worker pool with sim.ParallelFor (inline below two shards); the
+// contact loop between them stays sequential because it consumes one RNG
+// stream in node order.
+//
+//lotus:allocfree
 func (s *Sim) Step() error {
 	if s.round >= s.cfg.Rounds {
-		return fmt.Errorf("tokenmodel: horizon of %d rounds exhausted", s.cfg.Rounds)
+		return fmt.Errorf("tokenmodel: horizon of %d rounds exhausted", s.cfg.Rounds) //lotus:ignore allocfree cold guard, never taken in a running round
 	}
 	n := s.cfg.Graph.N()
 
@@ -370,7 +389,7 @@ func (s *Sim) Step() error {
 	if s.advInstant {
 		targets := s.adv.Targets(s.round)
 		if targets.Cap() != n {
-			return fmt.Errorf("tokenmodel: adversary returned a target set over %d nodes, want %d", targets.Cap(), n)
+			return fmt.Errorf("tokenmodel: adversary returned a target set over %d nodes, want %d", targets.Cap(), n) //lotus:ignore allocfree cold guard for a broken adversary
 		}
 		// Sparse iteration: the satiation pass costs O(|satiated set|), not
 		// O(n), and allocates nothing.
@@ -385,12 +404,8 @@ func (s *Sim) Step() error {
 	// 2. Simultaneous contacts: all exchanges read the start-of-round
 	// snapshot; gains land after every contact has been resolved. The
 	// snapshot/gains/sat buffers live on the Sim and are reused each round.
-	snapshot, gains, sat := s.snapshot, s.gains, s.sat
-	for v := 0; v < n; v++ {
-		snapshot[v].CopyFrom(s.held[v])
-		gains[v].Clear()
-		sat[v] = snapshot[v].Full()
-	}
+	sim.ParallelFor(n, 0, s.snapshotRange)
+	sat := s.sat
 	rng := s.rng.ChildN("round", s.round)
 	for v := 0; v < n; v++ {
 		if s.gone(v) {
@@ -416,7 +431,8 @@ func (s *Sim) Step() error {
 		if c > len(nb) {
 			c = len(nb)
 		}
-		for _, idx := range rng.SampleInts(len(nb), c) {
+		s.sample = rng.SampleIntsInto(s.sample, len(nb), c)
+		for _, idx := range s.sample {
 			p := nb[idx]
 			if s.gone(p) {
 				continue // contacting an empty seat wastes the slot
@@ -436,22 +452,50 @@ func (s *Sim) Step() error {
 			s.transferInto(p, v)
 		}
 	}
-	for v := 0; v < n; v++ {
-		s.held[v].UnionWith(gains[v])
-		if s.completed[v] == -1 && s.satiated(v) {
-			s.completed[v] = s.round
-		}
-	}
+	sim.ParallelFor(n, 0, s.mergeRange)
 
 	count := 0
-	for v := 0; v < n; v++ {
-		if !s.gone(v) && s.satiated(v) {
-			count++
-		}
+	for _, c := range s.shardCounts {
+		count += c
 	}
 	s.result.SatiatedByRound = append(s.result.SatiatedByRound, count)
 	s.round++
 	return nil
+}
+
+// snapshotRange is the start-of-round pass over nodes [start, end): it
+// copies each held set into the snapshot, clears the pending gains and
+// records who starts the round satiated.
+//
+//lotus:allocfree
+func (s *Sim) snapshotRange(_, start, end int) {
+	for v := start; v < end; v++ {
+		s.snapshot[v].CopyFrom(s.held[v])
+		s.gains[v].Clear()
+		s.sat[v] = s.snapshot[v].Full()
+	}
+}
+
+// mergeRange is the end-of-round pass over nodes [start, end): it lands
+// the pending gains, stamps completions and stores the shard's count of
+// present satiated nodes in shardCounts[shard].
+//
+//lotus:allocfree
+func (s *Sim) mergeRange(shard, start, end int) {
+	count := 0
+	for v := start; v < end; v++ {
+		s.held[v].UnionWith(s.gains[v])
+		if !s.satiated(v) {
+			continue
+		}
+		if s.completed[v] == -1 {
+			s.completed[v] = s.round
+		}
+		if !s.gone(v) {
+			count++
+		}
+	}
+	s.shardCounts[shard] = count
 }
 
 // satiate delivers the attacker's out-of-protocol payload to v: every token
@@ -479,6 +523,8 @@ func (s *Sim) satiate(v int) {
 // attackerContacts is a trade attacker's round: it contacts up to c random
 // neighbors and gives each satiation target its full snapshot, taking
 // nothing in return.
+//
+//lotus:allocfree
 func (s *Sim) attackerContacts(v int, sat []bool, rng *simrng.Source) {
 	nb := s.cfg.Graph.AdjList(v)
 	if len(nb) == 0 {
@@ -488,7 +534,8 @@ func (s *Sim) attackerContacts(v int, sat []bool, rng *simrng.Source) {
 	if c > len(nb) {
 		c = len(nb)
 	}
-	for _, idx := range rng.SampleInts(len(nb), c) {
+	s.sample = rng.SampleIntsInto(s.sample, len(nb), c)
+	for _, idx := range s.sample {
 		p := nb[idx]
 		if s.gone(p) || s.isAttacker[p] || sat[p] || !s.adv.OnExchange(s.round, v, p) {
 			continue
@@ -504,6 +551,8 @@ func (s *Sim) attackerContacts(v int, sat []bool, rng *simrng.Source) {
 // a defense this is a plain union; with one, the number of genuinely new
 // tokens accepted is capped by Admit and the grant is consumed in ascending
 // token order (deterministic).
+//
+//lotus:allocfree
 func (s *Sim) transferInto(dst, src int) int {
 	if s.def == nil {
 		return s.gains[dst].UnionWith(s.snapshot[src])
